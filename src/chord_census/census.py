@@ -11,10 +11,12 @@ point 1, which is how the census parallelizes.
 
 The census never materializes the set of seen canonical forms.  A gluing
 opens a new orbit exactly when it *is* the lexicographic minimum of its
-rotation orbit, so counting minima counts orbits; rotations, minimality
-tests and per-shift fixed-point counts all run as vectorized array passes
-over a shard (partner arrays, one row per gluing).  Orbit representatives
-with sizes and stabilizer orders are collected on request.
+rotation orbit, so counting minima counts orbits.  Each shift compares a
+shard (int8 partner arrays, one row per gluing) with its rotation column by
+column, keeping only the rows equal so far; almost every row differs in
+column 0, so a shift costs about one pass over one column.  Rows equal to
+the end are fixed by the shift, which gives the fixed-point counts and
+stabilizer orders.  Orbit representatives are collected on request.
 
 Work is bounded by a gluing budget (default 4*10^7, overridable with the
 ``CHORD_CENSUS_BUDGET`` environment variable or per call); class N filters
@@ -50,6 +52,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 40_000_000
 BUDGET_ENV_VAR = "CHORD_CENSUS_BUDGET"
+_MAX_ENGINE_ORDER = 32  # a partner plus a shift, up to 4n - 2, must fit in int8
 
 ProgressFn = Callable[[int, int], None]  # (gluings processed, orbits found)
 
@@ -223,35 +226,18 @@ def _shard_matchings(n: int, fp: int, cls: DiagramClass) -> np.ndarray:
     return M
 
 
-def _pack_keys(M: np.ndarray) -> list[np.ndarray]:
-    """Lexicographic key arrays: column groups packed into uint64 words."""
-    pts = M.shape[1]
-    bits = max(int(pts).bit_length(), 1)
-    per_key = 63 // bits
-    keys = []
-    for start in range(0, pts, per_key):
-        k = np.zeros(M.shape[0], dtype=np.uint64)
-        for c in range(start, min(start + per_key, pts)):
-            k = (k << np.uint64(bits)) | M[:, c].astype(np.uint64)
-        keys.append(k)
-    return keys
-
-
-def _lex_less_eq(ka: list[np.ndarray], kb: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise (a < b, a == b) under lexicographic order of the key chain."""
-    less = np.zeros(ka[0].shape, dtype=bool)
-    eq = np.ones(ka[0].shape, dtype=bool)
-    for a, b in zip(ka, kb):
-        less |= eq & (a < b)
-        eq &= a == b
-    return less, eq
-
-
 def _is_o_rows(M: np.ndarray) -> np.ndarray:
     """Class-O mask: every point's partner has opposite parity."""
     pts = M.shape[1]
     idx = np.arange(pts, dtype=np.int8)
     return (((M + idx) & 1) == 1).all(axis=1)
+
+
+def _rotated(col: np.ndarray, s: int, pts: int) -> np.ndarray:
+    """(col + s) mod pts for int8 partners, without slow int8 division."""
+    rot = col + np.int8(s)
+    rot -= np.int8(pts) * (rot >= pts)
+    return rot
 
 
 def _shard_task(args: tuple) -> tuple:
@@ -270,17 +256,24 @@ def _shard_task(args: tuple) -> tuple:
     if rows == 0:
         return (0, 0, [0] * len(shifts), 0, [] if keep_orbits else None)
 
-    keys = _pack_keys(M)
     not_min = np.zeros(rows, dtype=bool)
     stab = np.ones(rows, dtype=np.int64)
     fixed = []
     for s in shifts:
-        rot = np.roll((M + np.int8(s)) % np.int8(pts), s, axis=1)
-        less, eq = _lex_less_eq(_pack_keys(rot), keys)
-        fixed.append(int(eq.sum()))
-        if count_orbits:
-            not_min |= less
-            stab += eq
+        # Column i of row r rotated by s is (M[r, i - s] + s) mod pts.  Only rows
+        # equal so far go on to the next column; column 0 is fp in every row.
+        rot = _rotated(M[:, -s], s, pts)
+        not_min |= rot < fp
+        alive = np.flatnonzero(rot == fp)
+        for i in range(1, pts):
+            if alive.size == 0:
+                break
+            rot = _rotated(M[alive, i - s], s, pts)
+            base = M[alive, i]
+            not_min[alive[rot < base]] = True
+            alive = alive[rot == base]
+        fixed.append(alive.size)
+        stab[alive] += 1
 
     orbit_count = 0
     size_sum = 0
@@ -313,7 +306,10 @@ class _EngineResult:
 def _resolve_budget(budget: Optional[int]) -> int:
     if budget is None:
         env = os.environ.get(BUDGET_ENV_VAR)
-        budget = int(env) if env else DEFAULT_BUDGET
+        try:
+            budget = int(env) if env else DEFAULT_BUDGET
+        except ValueError:
+            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     return budget
@@ -347,6 +343,8 @@ def _run_engine(
         raise ValueError(f"diagram order must be >= 1, got {n}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if n > _MAX_ENGINE_ORDER:
+        raise ValueError(f"the int8 census engine needs n <= {_MAX_ENGINE_ORDER}, got {n}")
     _charge_budget(n, cls, budget)
 
     tasks = [
@@ -382,8 +380,8 @@ def _run_engine(
         raise AssertionError(
             f"orbit sizes sum to {size_sum}, expected {result.total}"
         )
-    if count_orbits and keep_orbits:
-        assert all(group_order % st == 0 for _, _, st in result.orbits)
+    if keep_orbits and any(group_order % st for _, _, st in result.orbits):
+        raise AssertionError("stabilizer order does not divide group order")
     return result
 
 

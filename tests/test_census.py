@@ -19,7 +19,12 @@ from chord_census import (
     orbit_census,
     rotate,
 )
-from chord_census.census import _shard_first_partners, _shard_matchings
+from chord_census.census import (
+    _group_shifts,
+    _shard_first_partners,
+    _shard_matchings,
+    _shard_task,
+)
 
 from oracles import (
     all_matchings,
@@ -32,6 +37,19 @@ from oracles import (
 
 def as_matching(g: Gluing):
     return frozenset(frozenset(c) for c in g.chords)
+
+
+def class_pool(n: int, cls: DiagramClass):
+    pool = all_matchings(n)
+    if cls is DiagramClass.O:
+        return [m for m in pool if is_o_matching(m)]
+    if cls is DiagramClass.N:
+        return [m for m in pool if not is_o_matching(m)]
+    return pool
+
+
+def partner_of_1(m) -> int:
+    return next(max(p) for p in m if 1 in p)
 
 
 class TestEnumerateGluings:
@@ -111,6 +129,33 @@ class TestShardArrays:
         assert got == expected
 
 
+class TestShardTask:
+    """Each shard's counts against the reference orbits and fixed points."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize(
+        "cls", [DiagramClass.ALL, DiagramClass.O, DiagramClass.N]
+    )
+    @pytest.mark.parametrize("full", [False, True], ids=["even", "full"])
+    def test_matches_reference_per_shard(self, n, cls, full):
+        pts = 2 * n
+        shifts, group_order = _group_shifts(n, full)
+        pool = class_pool(n, cls)
+        orbits = census_matchings(pool, pts, even_only=not full)
+        for fp in _shard_first_partners(n, cls):
+            shard = [m for m in pool if partner_of_1(m) == fp + 1]
+            reps = {k: size for k, size in orbits.items() if k[0] == (1, fp + 1)}
+            rows, orbit_count, fixed, size_sum, records = _shard_task(
+                (n, cls.value, fp, shifts, True, True)
+            )
+            assert rows == len(shard)
+            assert orbit_count == len(reps)
+            assert size_sum == sum(reps.values())
+            assert fixed == [count_fixed_matchings(shard, pts, s) for s in shifts]
+            assert {chords: size for chords, size, _ in records} == reps
+            assert all(size * st == group_order for _, size, st in records)
+
+
 class TestOrbitCensus:
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize(
@@ -133,6 +178,25 @@ class TestOrbitCensus:
         census = orbit_census(n, full_rotation_group=True)
         assert census.orbit_count == len(reference)
         assert census.group_order == 2 * n
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("cls", [DiagramClass.O, DiagramClass.N])
+    def test_full_group_census_by_class(self, n, cls):
+        pool = class_pool(n, cls)
+        reference = census_matchings(pool, 2 * n, even_only=False)
+        census = orbit_census(n, cls, full_rotation_group=True)
+        assert census.orbit_count == len(reference)
+        assert census.total_gluings == len(pool)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_full_group_orbit_records(self, n):
+        census = orbit_census(n, keep_orbits=True, full_rotation_group=True)
+        assert sum(o.size for o in census.orbits) == census.total_gluings
+        for o in census.orbits:
+            assert o.size * o.stabilizer_order == 2 * n
+            orbit = [rotate(o.representative, k) for k in range(1, 2 * n + 1)]
+            assert min(x.flattened() for x in orbit) == o.representative.flattened()
+            assert sum(1 for x in orbit if x == o.representative) == o.stabilizer_order
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_orbit_records(self, n):
@@ -172,6 +236,24 @@ class TestOrbitCensus:
             orbit_census(4)
         monkeypatch.setenv("CHORD_CENSUS_BUDGET", "1000")
         assert orbit_census(4).orbit_count == 35
+
+    def test_budget_env_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv("CHORD_CENSUS_BUDGET", "4e7")
+        with pytest.raises(ValueError, match="CHORD_CENSUS_BUDGET.*'4e7'"):
+            orbit_census(4)
+
+    @pytest.mark.parametrize("cls", [DiagramClass.ALL, DiagramClass.O])
+    def test_order_beyond_int8_engine_rejected_before_any_shard(
+        self, cls, monkeypatch
+    ):
+        def no_shards(*args):
+            raise AssertionError("a shard was generated")
+
+        monkeypatch.setattr("chord_census.census._shard_matchings", no_shards)
+        with pytest.raises(ValueError, match="n <= 32"):
+            orbit_census(33, cls, budget=10**100)
+        with pytest.raises(ValueError, match="n <= 32"):
+            count_fixed(33, 2, cls, budget=10**100)
 
     def test_o_class_budget_charges_factorial(self):
         # 6! = 720 O-gluings fit a budget that (2*6-1)!! would burst
