@@ -66,6 +66,7 @@ from .errors import (
     EvenInputError,
     GluingParseError,
     InconsistentTopologyError,
+    InvalidArgumentError,
     InvalidGluingError,
     InvalidSpinError,
     MissingIndexError,
@@ -144,6 +145,7 @@ __all__ = [
     # errors
     "ChordCensusError",
     "InvalidGluingError",
+    "InvalidArgumentError",
     "DuplicateIndexError",
     "MissingIndexError",
     "SelfPairError",

@@ -35,7 +35,7 @@ import numpy as np
 
 from .counting import double_factorial
 from .diagram import DiagramClass, Gluing
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvalidArgumentError
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -124,7 +124,7 @@ def enumerate_gluings(n: int) -> Iterator[Gluing]:
     Lexicographic order, constant memory per item.
     """
     if n < 1:
-        raise ValueError(f"diagram order must be >= 1, got {n}")
+        raise InvalidArgumentError(f"diagram order must be >= 1, got {n}")
     for chords in _matchings(n, o_only=False):
         yield Gluing(chords)
 
@@ -136,7 +136,7 @@ def enumerate_o_gluings(n: int) -> Iterator[Gluing]:
     ``enumerate_gluings(n)`` filtered to class O.
     """
     if n < 1:
-        raise ValueError(f"diagram order must be >= 1, got {n}")
+        raise InvalidArgumentError(f"diagram order must be >= 1, got {n}")
     for chords in _matchings(n, o_only=True):
         yield Gluing(chords)
 
@@ -309,9 +309,11 @@ def _resolve_budget(budget: Optional[int]) -> int:
         try:
             budget = int(env) if env else DEFAULT_BUDGET
         except ValueError:
-            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
+            raise InvalidArgumentError(
+                f"{BUDGET_ENV_VAR} must be an integer, got {env!r}"
+            ) from None
     if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+        raise InvalidArgumentError(f"budget must be >= 1, got {budget}")
     return budget
 
 
@@ -340,11 +342,13 @@ def _run_engine(
     progress: Optional[ProgressFn],
 ) -> _EngineResult:
     if n < 1:
-        raise ValueError(f"diagram order must be >= 1, got {n}")
+        raise InvalidArgumentError(f"diagram order must be >= 1, got {n}")
     if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
     if n > _MAX_ENGINE_ORDER:
-        raise ValueError(f"the int8 census engine needs n <= {_MAX_ENGINE_ORDER}, got {n}")
+        raise InvalidArgumentError(
+            f"the int8 census engine needs n <= {_MAX_ENGINE_ORDER}, got {n}"
+        )
     _charge_budget(n, cls, budget)
 
     tasks = [
@@ -451,7 +455,7 @@ def count_fixed(
     preserving ones); k = 2n is the identity and fixes the whole class.
     """
     if k % 2 != 0 or not 1 <= k <= 2 * n:
-        raise ValueError(f"shift must be even and within 1..{2 * n}, got {k}")
+        raise InvalidArgumentError(f"shift must be even and within 1..{2 * n}, got {k}")
     shifts = [] if k == 2 * n else [k]
     run = _run_engine(n, diagram_class, shifts, False, False, budget, workers, None)
     count = run.total if k == 2 * n else run.fixed[k]

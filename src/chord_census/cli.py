@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 when a brute-force budget is exceeded or a
 verification run finds a mismatch, 2 on bad arguments (including malformed
-gluing text).  Long enumerations stream to stdout; progress, when asked
+gluing text).  Only the package's input errors map to 2; any other
+exception, a plain ``ValueError`` included, is a bug and surfaces as a
+traceback.  Long enumerations stream to stdout; progress, when asked
 for, goes to stderr.  JSON output is key-sorted so runs diff cleanly.
 """
 
@@ -23,7 +25,12 @@ from .census import (
 )
 from .cycles import surface_type, trace_cycles
 from .diagram import ColorDiagram, DiagramClass, Gluing, canonical_form, classify, isomorphic
-from .errors import BudgetExceededError, InvalidGluingError, SizeMismatchError
+from .errors import (
+    BudgetExceededError,
+    InvalidArgumentError,
+    InvalidGluingError,
+    SizeMismatchError,
+)
 from .render import render_svg
 
 __all__ = ["main", "build_parser"]
@@ -386,7 +393,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (InvalidGluingError, SizeMismatchError, ValueError) as exc:
+    except (InvalidGluingError, SizeMismatchError, InvalidArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:

@@ -31,6 +31,7 @@ from dataclasses import dataclass, fields
 from .errors import (
     DivisibilityError,
     EvenInputError,
+    InvalidArgumentError,
     NonDivisorError,
     NotPrimeError,
 )
@@ -69,7 +70,7 @@ def double_factorial(m: int) -> int:
 def euler_phi(q: int) -> int:
     """Euler's totient by trial-division factorization; phi(1) = 1."""
     if q < 1:
-        raise ValueError(f"totient needs q >= 1, got {q}")
+        raise InvalidArgumentError(f"totient needs q >= 1, got {q}")
     out = q
     p = 2
     while p * p <= q:
@@ -108,7 +109,7 @@ def total_o_gluings(n: int) -> int:
 
 def _check_order(n: int) -> None:
     if n < 1:
-        raise ValueError(f"diagram order must be >= 1, got {n}")
+        raise InvalidArgumentError(f"diagram order must be >= 1, got {n}")
 
 
 def colored_fixed(n: int, m: int) -> int:
@@ -261,7 +262,7 @@ def build_table(n_min: int, n_max: int) -> CountTable:
     """All counts for n in [n_min, n_max], with the N column rederived as a
     consistency check (d_n = d_double_star - d_o identically)."""
     if n_min < 1 or n_min > n_max:
-        raise ValueError(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
+        raise InvalidArgumentError(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
     rows = []
     for n in range(n_min, n_max + 1):
         dds = colored_classes(n)

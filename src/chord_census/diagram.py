@@ -29,6 +29,7 @@ from typing import Iterable, NamedTuple, Union
 from .errors import (
     DuplicateIndexError,
     GluingParseError,
+    InvalidArgumentError,
     MissingIndexError,
     SelfPairError,
     SizeMismatchError,
@@ -215,7 +216,7 @@ def rotate(g: Gluing, k: int) -> Gluing:
     """
     pts = g.points
     if not 1 <= k <= pts:
-        raise ValueError(f"rotation shift must be in 1..{pts}, got {k}")
+        raise InvalidArgumentError(f"rotation shift must be in 1..{pts}, got {k}")
     chords = []
     for a, b in g.chords:
         a2 = (a + k - 1) % pts + 1
@@ -231,16 +232,31 @@ def canonical_form(d: DiagramLike) -> Gluing:
     Returns the lexicographically least gluing (flattened-sequence order)
     among ``rotate(g, 2m)`` for ``m = 1..n``.  Two diagrams are isomorphic
     exactly when their canonical forms coincide.
+
+    The orbit is searched on the 0-based partner array ``p`` (``p[i]`` is
+    the partner of point ``i + 1``, less one), never on rotated gluings.
+    Lex order on partner arrays equals lex order on flattened normal forms:
+    where two arrays first differ, at index i, both partners lie above i
+    (a partner below i would have been fixed by the equal prefix), so i is
+    the next chord start in both and its partner is the next flattened
+    value.  The even rotation that brings odd point ``e + 1`` to point 1
+    starts its array with e's clockwise span ``(p[e] - e) mod 2n``, so the
+    orbit minimum is among the rotations whose odd-point span is least.
+    The n spans cost O(n); only the tied candidates, one unless the
+    stabilizer or the chord pattern makes spans repeat, are built in full
+    (O(n) each) and compared, and only the winner becomes a ``Gluing``.
     """
     g = _gluing_of(d)
-    best = g
-    best_key = g.flattened()
-    for m in range(1, g.n):
-        cand = rotate(g, 2 * m)
-        key = cand.flattened()
-        if key < best_key:
-            best, best_key = cand, key
-    return best
+    pts = g.points
+    p = [x - 1 for x in g.partner_map()[1:]]
+    spans = [(p[e] - e) % pts for e in range(0, pts, 2)]
+    least = min(spans)
+    best = min(
+        [(x - e) % pts for x in p[e:] + p[:e]]
+        for e, span in zip(range(0, pts, 2), spans)
+        if span == least
+    )
+    return Gluing(tuple((i + 1, x + 1) for i, x in enumerate(best) if x > i))
 
 
 def isomorphic(d1: DiagramLike, d2: DiagramLike) -> bool:

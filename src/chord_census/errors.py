@@ -38,6 +38,10 @@ class SizeMismatchError(ChordCensusError, ValueError):
     """Two diagrams of different order were compared."""
 
 
+class InvalidArgumentError(ChordCensusError, ValueError):
+    """An argument is out of range: an order, shift, worker count or budget."""
+
+
 class InvalidSpinError(ChordCensusError, ValueError):
     """A spin graph violates the pairing or alternation rules."""
 

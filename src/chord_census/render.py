@@ -43,29 +43,31 @@ def render_svg(d: DiagramLike) -> str:
     )
     out.append(f'<rect width="{_SIZE}" height="{_SIZE}" fill="#d9d9d9"/>')
 
+    xy = [tuple(map(_fmt, _point(i, pts))) for i in range(1, pts + 1)]
+
     # circle arcs, clockwise span (i, i+1); odd i black
     for i in range(1, pts + 1):
-        x1, y1 = _point(i, pts)
-        x2, y2 = _point(i % pts + 1, pts)
+        x1, y1 = xy[i - 1]
+        x2, y2 = xy[i % pts]
         color = "#000000" if i % 2 == 1 else "#ffffff"
         large = 1 if pts == 2 else 0  # two points means each arc is a half turn
         out.append(
-            f'<path d="M {_fmt(x1)} {_fmt(y1)} '
-            f'A {_RADIUS} {_RADIUS} 0 {large} 1 {_fmt(x2)} {_fmt(y2)}" '
+            f'<path d="M {x1} {y1} '
+            f'A {_RADIUS} {_RADIUS} 0 {large} 1 {x2} {y2}" '
             f'fill="none" stroke="{color}" stroke-width="8"/>'
         )
 
     for a, b in g.chords:
-        x1, y1 = _point(a, pts)
-        x2, y2 = _point(b, pts)
+        x1, y1 = xy[a - 1]
+        x2, y2 = xy[b - 1]
         out.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
-            f'y2="{_fmt(y2)}" stroke="#4a6a8a" stroke-width="2"/>'
+            f'<line x1="{x1}" y1="{y1}" x2="{x2}" '
+            f'y2="{y2}" stroke="#4a6a8a" stroke-width="2"/>'
         )
 
     for i in range(1, pts + 1):
-        x, y = _point(i, pts)
-        out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="#bb3333"/>')
+        x, y = xy[i - 1]
+        out.append(f'<circle cx="{x}" cy="{y}" r="4" fill="#bb3333"/>')
         angle = 2.0 * math.pi * (i - 1) / pts
         c = _SIZE / 2.0
         lx = c + _LABEL_RADIUS * math.sin(angle)

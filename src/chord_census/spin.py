@@ -162,6 +162,10 @@ def spin_graph_isomorphic(s1: SpinGraph, s2: SpinGraph) -> bool:
     Tries every rotation of the cyclic order; the induced relabeling must
     send loops to loops and preserve both spin colors.  Color preservation
     automatically restricts to rotations aligning sector colors.
+
+    Loops are checked on positions in the cyclic orders, so a rotation is
+    rejected at the first loop of s1 whose image is not a loop of s2; the
+    relabeling is built only for rotations that pass.
     """
     s1.validate()
     s2.validate()
@@ -169,14 +173,16 @@ def spin_graph_isomorphic(s1: SpinGraph, s2: SpinGraph) -> bool:
     if m != len(s2.cyclic_order):
         return False
     o1, o2 = s1.cyclic_order, s2.cyclic_order
-    loops1 = {frozenset(p) for p in s1.loops}
-    loops2 = {frozenset(p) for p in s2.loops}
+    pos1 = {label: t for t, label in enumerate(o1)}
+    pos2 = {label: t for t, label in enumerate(o2)}
+    mate2 = [0] * m
+    for a, b in s2.loops:
+        mate2[pos2[a]], mate2[pos2[b]] = pos2[b], pos2[a]
+    loops1 = [(pos1[a], pos1[b]) for a, b in s1.loops]
     for r in range(m):
+        if any(mate2[(a + r) % m] != (b + r) % m for a, b in loops1):
+            continue
         phi = {o1[t]: o2[(t + r) % m] for t in range(m)}
-        if any(frozenset((phi[a], phi[b])) not in loops2 for a, b in s1.loops):
-            continue
-        if len(loops1) != len(loops2):
-            continue
         if all(
             phi[s1.black_partner[h]] == s2.black_partner[phi[h]]
             and phi[s1.white_partner[h]] == s2.white_partner[phi[h]]

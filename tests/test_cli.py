@@ -6,7 +6,16 @@ import json
 
 import pytest
 
-from chord_census import Gluing
+from chord_census import (
+    Gluing,
+    InvalidArgumentError,
+    count_fixed,
+    counting,
+    enumerate_gluings,
+    enumerate_o_gluings,
+    orbit_census,
+    rotate,
+)
 from chord_census.cli import main
 
 WORKED_EXAMPLE = "(1,8)(2,4)(3,7)(5,12)(6,9)(10,11)"
@@ -228,3 +237,63 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             main(["count", "--n", "3", "--class", "x"])
         assert exc.value.code == 2
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["orbits", "--n", "0"],
+            ["orbits", "--n", "3", "--workers", "0"],
+            ["orbits", "--n", "3", "--budget", "0"],
+            ["orbits", "--n", "33", "--budget", "10"],
+            ["count", "--n", "0"],
+            ["table", "--from", "3", "--to", "2"],
+            ["enumerate", "--n", "0"],
+        ],
+    )
+    def test_bad_argument_values_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: ") and out == ""
+
+    def test_bad_budget_variable_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("CHORD_CENSUS_BUDGET", "lots")
+        code, _, err = run(capsys, "orbits", "--n", "3")
+        assert code == 2 and "CHORD_CENSUS_BUDGET" in err
+
+    def test_internal_value_error_propagates(self, capsys, monkeypatch):
+        # a ValueError from inside the package is a bug, not bad input
+        import chord_census.cli as cli_mod
+
+        def broken(*args, **kwargs):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(cli_mod, "orbit_census", broken)
+        with pytest.raises(ValueError, match="internal failure"):
+            main(["orbits", "--n", "3"])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: next(enumerate_gluings(0)),
+            lambda: next(enumerate_o_gluings(0)),
+            lambda: orbit_census(3, budget=0),
+            lambda: orbit_census(0),
+            lambda: orbit_census(3, workers=0),
+            lambda: orbit_census(33, budget=10),
+            lambda: count_fixed(3, 3),
+            lambda: counting.euler_phi(0),
+            lambda: counting.total_gluings(0),
+            lambda: counting.build_table(0, 3),
+            lambda: rotate(Gluing.parse("(1,2)"), 3),
+        ],
+    )
+    def test_argument_checks_raise_package_error(self, call):
+        with pytest.raises(InvalidArgumentError) as exc:
+            call()
+        assert isinstance(exc.value, ValueError)
+
+    def test_budget_variable_raises_package_error(self, monkeypatch):
+        monkeypatch.setenv("CHORD_CENSUS_BUDGET", "lots")
+        with pytest.raises(InvalidArgumentError, match="CHORD_CENSUS_BUDGET"):
+            orbit_census(3)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,6 +192,68 @@ class TestCanonicalForm:
             frozenset(frozenset(c) for c in g.chords), g.points, even_only=True
         )
         assert form.chords == oracle_key
+
+    @staticmethod
+    def assert_matches_oracle(g):
+        oracle_key = canonical_matching(
+            frozenset(frozenset(c) for c in g.chords), g.points, even_only=True
+        )
+        assert canonical_form(g).chords == oracle_key
+
+    @pytest.mark.parametrize("n", range(7, 41))
+    def test_random_gluings_match_oracle(self, n):
+        rng = random.Random(1000 + n)
+        for _ in range(3):
+            points = list(range(1, 2 * n + 1))
+            rng.shuffle(points)
+            self.assert_matches_oracle(normalize(zip(points[::2], points[1::2])))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 25, 40])
+    def test_tie_heavy_gluings_match_oracle(self, n):
+        # every odd-point span is equal, so every rotation is a candidate
+        parallel = normalize([(2 * i + 1, 2 * i + 2) for i in range(n)])
+        diameters = normalize([(i, i + n) for i in range(1, n + 1)])
+        for g in (parallel, diameters, rotate(parallel, 1), rotate(diameters, 1)):
+            self.assert_matches_oracle(g)
+        assert canonical_form(parallel) == parallel
+
+    @pytest.mark.parametrize("n, period", [(8, 2), (12, 3), (30, 5), (40, 8)])
+    def test_o_diagrams_with_stabilizer_match_oracle(self, n, period):
+        # a random O-block of `period` chords repeated n/period times is
+        # fixed by the even rotation 2*period
+        rng = random.Random(n * period)
+        pts = 2 * n
+        evens = list(range(2, 2 * period + 1, 2))
+        rng.shuffle(evens)
+        block = [(2 * j + 1, evens[j] + 2 * rng.randrange(n // period) * period)
+                 for j in range(period)]
+        g = normalize(
+            ((a + 2 * r * period - 1) % pts + 1, (b + 2 * r * period - 1) % pts + 1)
+            for r in range(n // period)
+            for a, b in block
+        )
+        assert classify(g) is DiagramClass.O
+        assert rotate(g, 2 * period) == g
+        self.assert_matches_oracle(g)
+
+    def test_large_even_rotations_share_the_form(self):
+        rng = random.Random(60)
+        points = list(range(1, 121))
+        rng.shuffle(points)
+        g = normalize(zip(points[::2], points[1::2]))
+        for m in (1, 17, 59, 60):
+            assert isomorphic(g, rotate(g, 2 * m))
+
+    def test_large_non_isomorphic_pair(self):
+        # rotating by one step swaps the colours; this gluing's pattern
+        # does not survive that, so the two are different colour diagrams
+        rng = random.Random(30)
+        points = list(range(1, 61))
+        rng.shuffle(points)
+        g = normalize(zip(points[::2], points[1::2]))
+        h = rotate(g, 1)
+        assert h not in {rotate(g, 2 * m) for m in range(1, 31)}
+        assert not isomorphic(g, h)
 
 
 class TestIsomorphic:

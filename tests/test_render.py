@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from itertools import combinations
 
 from chord_census import Gluing, canonical_form, enumerate_gluings, render_svg
@@ -41,3 +42,49 @@ class TestRenderSvg:
         # point 1 sits at 12 o'clock, point 2 at 3 o'clock (x grows rightwards)
         assert '<circle cx="220.00" cy="50.00"' in svg
         assert '<circle cx="390.00" cy="220.00"' in svg
+
+
+# Exact output, frozen so that refactors of the renderer cannot drift.
+N3_SVG_LINES = [
+    '<svg xmlns="http://www.w3.org/2000/svg" width="440" height="440" viewBox="0 0 440 440">',
+    '<rect width="440" height="440" fill="#d9d9d9"/>',
+    '<path d="M 220.00 50.00 A 170 170 0 0 1 367.22 135.00" fill="none" stroke="#000000" stroke-width="8"/>',
+    '<path d="M 367.22 135.00 A 170 170 0 0 1 367.22 305.00" fill="none" stroke="#ffffff" stroke-width="8"/>',
+    '<path d="M 367.22 305.00 A 170 170 0 0 1 220.00 390.00" fill="none" stroke="#000000" stroke-width="8"/>',
+    '<path d="M 220.00 390.00 A 170 170 0 0 1 72.78 305.00" fill="none" stroke="#ffffff" stroke-width="8"/>',
+    '<path d="M 72.78 305.00 A 170 170 0 0 1 72.78 135.00" fill="none" stroke="#000000" stroke-width="8"/>',
+    '<path d="M 72.78 135.00 A 170 170 0 0 1 220.00 50.00" fill="none" stroke="#ffffff" stroke-width="8"/>',
+    '<line x1="220.00" y1="50.00" x2="220.00" y2="390.00" stroke="#4a6a8a" stroke-width="2"/>',
+    '<line x1="367.22" y1="135.00" x2="72.78" y2="135.00" stroke="#4a6a8a" stroke-width="2"/>',
+    '<line x1="367.22" y1="305.00" x2="72.78" y2="305.00" stroke="#4a6a8a" stroke-width="2"/>',
+    '<circle cx="220.00" cy="50.00" r="4" fill="#bb3333"/>',
+    '<text x="220.00" y="24.00" font-family="monospace" font-size="14" text-anchor="middle" dominant-baseline="middle">1</text>',
+    '<circle cx="367.22" cy="135.00" r="4" fill="#bb3333"/>',
+    '<text x="389.74" y="122.00" font-family="monospace" font-size="14" text-anchor="middle" dominant-baseline="middle">2</text>',
+    '<circle cx="367.22" cy="305.00" r="4" fill="#bb3333"/>',
+    '<text x="389.74" y="318.00" font-family="monospace" font-size="14" text-anchor="middle" dominant-baseline="middle">3</text>',
+    '<circle cx="220.00" cy="390.00" r="4" fill="#bb3333"/>',
+    '<text x="220.00" y="416.00" font-family="monospace" font-size="14" text-anchor="middle" dominant-baseline="middle">4</text>',
+    '<circle cx="72.78" cy="305.00" r="4" fill="#bb3333"/>',
+    '<text x="50.26" y="318.00" font-family="monospace" font-size="14" text-anchor="middle" dominant-baseline="middle">5</text>',
+    '<circle cx="72.78" cy="135.00" r="4" fill="#bb3333"/>',
+    '<text x="50.26" y="122.00" font-family="monospace" font-size="14" text-anchor="middle" dominant-baseline="middle">6</text>',
+    '</svg>',
+]
+N20_GLUING = (
+    "(1,33)(2,11)(3,25)(4,5)(6,30)(7,21)(8,39)(9,26)(10,17)(12,18)"
+    "(13,40)(14,15)(16,19)(20,22)(23,28)(24,38)(27,34)(29,37)(31,35)(32,36)"
+)
+N20_SVG_BYTES = 13184
+N20_SVG_SHA256 = "6386647c78d200bf5ab05b68110263bd6ae2659c06be2636b1302d1301d8ef05"
+
+
+class TestPinnedBytes:
+    def test_n3(self):
+        svg = render_svg(Gluing.parse("(1,4)(2,6)(3,5)"))
+        assert svg == "\n".join(N3_SVG_LINES) + "\n"
+
+    def test_n20(self):
+        data = render_svg(Gluing.parse(N20_GLUING)).encode()
+        assert len(data) == N20_SVG_BYTES
+        assert hashlib.sha256(data).hexdigest() == N20_SVG_SHA256

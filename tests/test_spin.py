@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from chord_census import (
@@ -11,7 +13,9 @@ from chord_census import (
     InvalidSpinError,
     classify,
     diagram_to_spin_graph,
+    isomorphic,
     normalize,
+    rotate,
     spin_graph_isomorphic,
     spin_graph_to_diagram,
 )
@@ -121,10 +125,8 @@ class TestIsomorphism:
         s2 = diagram_to_spin_graph(ColorDiagram.parse("(1,4)(2,3)"))
         assert not spin_graph_isomorphic(s1, s2)
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_diagram_isomorphism(self, n):
-        from chord_census import isomorphic
-
         ds = diagrams(n)
         for d1 in ds:
             for d2 in ds:
@@ -133,3 +135,52 @@ class TestIsomorphism:
                     diagram_to_spin_graph(d1), diagram_to_spin_graph(d2)
                 )
                 assert got == expected, (d1, d2)
+
+    def test_string_labels_relabelled_at_n30(self):
+        rng = random.Random(30)
+        points = list(range(1, 61))
+        rng.shuffle(points)
+        g = normalize(zip(points[::2], points[1::2]))
+        s = diagram_to_spin_graph(g)
+        names = {i: f"h{(7 * i) % 61:02d}" for i in range(1, 61)}
+        t = relabel(rotate_labels(s, 14), names)
+        assert spin_graph_isomorphic(s, t)
+        assert spin_graph_isomorphic(t, s)
+        other = diagram_to_spin_graph(rotate(g, 1))
+        assert not spin_graph_isomorphic(t, other)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("(1,2)(3,4)", False),
+            ("(1,8)(2,4)(3,7)(5,12)(6,9)(10,11)", False),
+            ("(1,3)(2,4)", True),
+            ("(1,2)(3,6)(4,5)", True),
+        ],
+    )
+    def test_odd_label_rotation_swaps_sector_colours(self, text, expected):
+        # moving every loop end and the cyclic order one half-edge on while
+        # the spin stays put turns black sectors white: the result is the
+        # spin graph of rotate(g, 1), isomorphic only when the diagrams are
+        g = Gluing.parse(text)
+        s = diagram_to_spin_graph(g)
+        step = {h: h % (2 * g.n) + 1 for h in s.cyclic_order}
+        t = SpinGraph(
+            tuple(step[h] for h in s.cyclic_order),
+            tuple((step[a], step[b]) for a, b in s.loops),
+            s.black_partner,
+            s.white_partner,
+        )
+        assert not t.sector_colors_start_black()
+        assert isomorphic(g, rotate(g, 1)) is expected
+        assert spin_graph_isomorphic(s, t) is expected
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_invalid_spin_in_either_argument_raises(self, side):
+        s = diagram_to_spin_graph(ColorDiagram.parse("(1,3)(2,4)"))
+        broken = dict(s.black_partner)
+        broken[1], broken[2] = 2, 3
+        bad = SpinGraph(s.cyclic_order, s.loops, broken, s.white_partner)
+        args = (bad, s) if side == 0 else (s, bad)
+        with pytest.raises(InvalidSpinError):
+            spin_graph_isomorphic(*args)
