@@ -18,6 +18,11 @@ column 0, so a shift costs about one pass over one column.  Rows equal to
 the end are fixed by the shift, which gives the fixed-point counts and
 stabilizer orders.  Orbit representatives are collected on request.
 
+``orbit_census`` is the only entry into the engine: one pass per (n, class,
+group) yields the orbit count, the class size and the fixed count of every
+group element.  ``count_fixed`` and ``burnside_check`` read their answers
+from such a census.
+
 Work is bounded by a gluing budget (default 4*10^7, overridable with the
 ``CHORD_CENSUS_BUDGET`` environment variable or per call); class N filters
 the full stream, so it is charged the full (2n-1)!!.
@@ -28,6 +33,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -160,6 +166,7 @@ class OrbitCensus:
     group_order: int
     orbit_count: int
     total_gluings: int
+    fixed_counts: tuple[tuple[int, int], ...]  # (shift, count), ascending, identity 2n last
     orbits: Optional[tuple[OrbitInfo, ...]]
 
 
@@ -244,9 +251,9 @@ def _shard_task(args: tuple) -> tuple:
     """One shard of the census; module level so worker processes can run it.
 
     Returns (rows_in_class, orbit_count, fixed_counts, orbit_size_sum,
-    orbit_records_or_None).
+    orbit_records); the records list is empty unless ``keep_orbits``.
     """
-    n, cls_value, fp, shifts, count_orbits, keep_orbits = args
+    n, cls_value, fp, shifts, keep_orbits = args
     cls = DiagramClass(cls_value)
     pts = 2 * n
     M = _shard_matchings(n, fp, cls)
@@ -254,7 +261,7 @@ def _shard_task(args: tuple) -> tuple:
         M = M[~_is_o_rows(M)]
     rows = M.shape[0]
     if rows == 0:
-        return (0, 0, [0] * len(shifts), 0, [] if keep_orbits else None)
+        return (0, 0, [0] * len(shifts), 0, [])
 
     not_min = np.zeros(rows, dtype=bool)
     stab = np.ones(rows, dtype=np.int64)
@@ -275,32 +282,21 @@ def _shard_task(args: tuple) -> tuple:
         fixed.append(alive.size)
         stab[alive] += 1
 
-    orbit_count = 0
-    size_sum = 0
-    records = [] if keep_orbits else None
-    if count_orbits:
-        canon = ~not_min
-        orbit_count = int(canon.sum())
-        group_order = len(shifts) + 1
-        stabs = stab[canon]
-        if not np.all(group_order % stabs == 0):
-            raise AssertionError("stabilizer order does not divide group order")
-        size_sum = int((group_order // stabs).sum())
-        if keep_orbits:
-            for row, st in zip(M[canon], stabs):
-                chords = tuple(
-                    (i + 1, int(row[i]) + 1) for i in range(pts) if i < row[i]
-                )
-                records.append((chords, group_order // int(st), int(st)))
+    canon = ~not_min
+    orbit_count = int(canon.sum())
+    group_order = len(shifts) + 1
+    stabs = stab[canon]
+    if not np.all(group_order % stabs == 0):
+        raise AssertionError("stabilizer order does not divide group order")
+    size_sum = int((group_order // stabs).sum())
+    records = []
+    if keep_orbits:
+        for row, st in zip(M[canon], stabs):
+            chords = tuple(
+                (i + 1, int(row[i]) + 1) for i in range(pts) if i < row[i]
+            )
+            records.append((chords, group_order // int(st), int(st)))
     return (rows, orbit_count, fixed, size_sum, records)
-
-
-@dataclass
-class _EngineResult:
-    total: int
-    orbit_count: int
-    fixed: dict[int, int]
-    orbits: Optional[list[tuple]]
 
 
 def _resolve_budget(budget: Optional[int]) -> int:
@@ -331,64 +327,6 @@ def _charge_budget(n: int, cls: DiagramClass, budget: Optional[int]) -> None:
         )
 
 
-def _run_engine(
-    n: int,
-    cls: DiagramClass,
-    shifts: list[int],
-    count_orbits: bool,
-    keep_orbits: bool,
-    budget: Optional[int],
-    workers: int,
-    progress: Optional[ProgressFn],
-) -> _EngineResult:
-    if n < 1:
-        raise InvalidArgumentError(f"diagram order must be >= 1, got {n}")
-    if workers < 1:
-        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
-    if n > _MAX_ENGINE_ORDER:
-        raise InvalidArgumentError(
-            f"the int8 census engine needs n <= {_MAX_ENGINE_ORDER}, got {n}"
-        )
-    _charge_budget(n, cls, budget)
-
-    tasks = [
-        (n, cls.value, fp, shifts, count_orbits, keep_orbits)
-        for fp in _shard_first_partners(n, cls)
-    ]
-    result = _EngineResult(0, 0, {s: 0 for s in shifts}, [] if keep_orbits else None)
-    group_order = len(shifts) + 1
-    size_sum = 0
-
-    def merge(shard: tuple) -> None:
-        nonlocal size_sum
-        rows, oc, fixed, ss, records = shard
-        result.total += rows
-        result.orbit_count += oc
-        size_sum += ss
-        for s, c in zip(shifts, fixed):
-            result.fixed[s] += c
-        if keep_orbits:
-            result.orbits.extend(records)
-        if progress is not None:
-            progress(result.total, result.orbit_count)
-
-    if workers == 1:
-        for task in tasks:
-            merge(_shard_task(task))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for shard in pool.map(_shard_task, tasks):
-                merge(shard)
-
-    if count_orbits and size_sum != result.total:
-        raise AssertionError(
-            f"orbit sizes sum to {size_sum}, expected {result.total}"
-        )
-    if keep_orbits and any(group_order % st for _, _, st in result.orbits):
-        raise AssertionError("stabilizer order does not divide group order")
-    return result
-
-
 # ---------------------------------------------------------------------------
 # public census operations
 # ---------------------------------------------------------------------------
@@ -415,28 +353,63 @@ def orbit_census(
     Partitions the stream of gluings into orbits under the even rotation
     group (or the full rotation group of order 2n when
     ``full_rotation_group`` is set, which is the uncolored-diagram notion of
-    isomorphism).  ``keep_orbits`` defaults to True up to n = 6 and False
-    above, where the representative list would get large; counts are exact
-    either way.  Results are identical for every ``workers`` setting.
+    isomorphism).  The same pass counts the gluings each group element
+    fixes (``fixed_counts``).  ``keep_orbits`` defaults to True up to n = 6
+    and False above, where the representative list would get large; counts
+    are exact either way.  Results are identical for every ``workers``
+    setting.
     """
+    if n < 1:
+        raise InvalidArgumentError(f"diagram order must be >= 1, got {n}")
+    if workers < 1:
+        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
+    if n > _MAX_ENGINE_ORDER:
+        raise InvalidArgumentError(
+            f"the int8 census engine needs n <= {_MAX_ENGINE_ORDER}, got {n}"
+        )
+    _charge_budget(n, diagram_class, budget)
     if keep_orbits is None:
         keep_orbits = n <= 6
     shifts, group_order = _group_shifts(n, full_rotation_group)
-    run = _run_engine(
-        n, diagram_class, shifts, True, keep_orbits, budget, workers, progress
-    )
+    tasks = [
+        (n, diagram_class.value, fp, shifts, keep_orbits)
+        for fp in _shard_first_partners(n, diagram_class)
+    ]
+
+    total = orbit_count = size_sum = 0
+    fixed = [0] * len(shifts)
+    records: list[tuple] = []
+    with ExitStack() as stack:
+        if workers == 1:
+            shards = map(_shard_task, tasks)
+        else:
+            pool = ProcessPoolExecutor(max_workers=workers)
+            # On any exception, drop the shards not yet started and join the workers.
+            stack.callback(pool.shutdown, cancel_futures=True)
+            shards = pool.map(_shard_task, tasks)
+        for rows, oc, shard_fixed, ss, shard_records in shards:
+            total += rows
+            orbit_count += oc
+            size_sum += ss
+            fixed = [a + b for a, b in zip(fixed, shard_fixed)]
+            records.extend(shard_records)
+            if progress is not None:
+                progress(total, orbit_count)
+
+    if size_sum != total:
+        raise AssertionError(f"orbit sizes sum to {size_sum}, expected {total}")
     orbits = None
     if keep_orbits:
         orbits = tuple(
-            OrbitInfo(Gluing(chords), size, stab)
-            for chords, size, stab in run.orbits
+            OrbitInfo(Gluing(chords), size, stab) for chords, size, stab in records
         )
     return OrbitCensus(
         n=n,
         diagram_class=diagram_class,
         group_order=group_order,
-        orbit_count=run.orbit_count,
-        total_gluings=run.total,
+        orbit_count=orbit_count,
+        total_gluings=total,
+        fixed_counts=tuple(zip(shifts, fixed)) + ((2 * n, total),),
         orbits=orbits,
     )
 
@@ -449,17 +422,25 @@ def count_fixed(
     budget: Optional[int] = None,
     workers: int = 1,
 ) -> FixedPointCount:
-    """Count gluings in a class fixed by rotation k, by direct filter.
+    """Count gluings in a class fixed by rotation k.
 
     k must be an even shift in 1..2n (even rotations are the color
     preserving ones); k = 2n is the identity and fixes the whole class.
+    The count is read from the ``fixed_counts`` of one ``orbit_census``.
     """
     if k % 2 != 0 or not 1 <= k <= 2 * n:
         raise InvalidArgumentError(f"shift must be even and within 1..{2 * n}, got {k}")
-    shifts = [] if k == 2 * n else [k]
-    run = _run_engine(n, diagram_class, shifts, False, False, budget, workers, None)
-    count = run.total if k == 2 * n else run.fixed[k]
+    census = orbit_census(
+        n, diagram_class, keep_orbits=False, budget=budget, workers=workers
+    )
+    count = dict(census.fixed_counts)[k]
     return FixedPointCount(n=n, shift=k, diagram_class=diagram_class, count=count)
+
+
+def _burnside_holds(census: OrbitCensus) -> bool:
+    """Burnside's lemma on one census: fixed counts sum to |G| * orbits."""
+    fixed_sum = sum(count for _, count in census.fixed_counts)
+    return fixed_sum == census.group_order * census.orbit_count
 
 
 def burnside_check(
@@ -471,10 +452,10 @@ def burnside_check(
 ) -> bool:
     """Verify the Burnside identity empirically for one class.
 
-    Sums the fixed-point counts of every even rotation (one engine pass)
-    and checks the sum equals n times the brute-force orbit count.
+    Over one ``orbit_census`` under the even rotations, the fixed-point
+    counts of the n group elements must sum to n times the orbit count.
     """
-    shifts, group_order = _group_shifts(n, full_rotation_group=False)
-    run = _run_engine(n, diagram_class, shifts, True, False, budget, workers, None)
-    fixed_sum = run.total + sum(run.fixed[s] for s in shifts)
-    return fixed_sum == group_order * run.orbit_count
+    census = orbit_census(
+        n, diagram_class, keep_orbits=False, budget=budget, workers=workers
+    )
+    return _burnside_holds(census)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
 
 import pytest
 
@@ -19,6 +20,8 @@ from chord_census import (
     orbit_census,
     rotate,
 )
+from chord_census import census as census_mod
+from chord_census.cli import main
 from chord_census.census import (
     _group_shifts,
     _shard_first_partners,
@@ -146,7 +149,7 @@ class TestShardTask:
             shard = [m for m in pool if partner_of_1(m) == fp + 1]
             reps = {k: size for k, size in orbits.items() if k[0] == (1, fp + 1)}
             rows, orbit_count, fixed, size_sum, records = _shard_task(
-                (n, cls.value, fp, shifts, True, True)
+                (n, cls.value, fp, shifts, True)
             )
             assert rows == len(shard)
             assert orbit_count == len(reps)
@@ -220,10 +223,35 @@ class TestOrbitCensus:
         assert orbit_census(3).orbits is not None
         assert orbit_census(7).orbits is None
 
-    def test_workers_do_not_change_counts(self):
-        seq = orbit_census(5, keep_orbits=True, workers=1)
-        par = orbit_census(5, keep_orbits=True, workers=2)
+    @pytest.mark.parametrize(
+        "cls", [DiagramClass.ALL, DiagramClass.O, DiagramClass.N]
+    )
+    @pytest.mark.parametrize("full", [False, True], ids=["even", "full"])
+    def test_workers_do_not_change_counts(self, cls, full):
+        seq = orbit_census(
+            5, cls, keep_orbits=True, full_rotation_group=full, workers=1
+        )
+        par = orbit_census(
+            5, cls, keep_orbits=True, full_rotation_group=full, workers=2
+        )
         assert seq == par
+        assert hash(seq) == hash(par)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize(
+        "cls", [DiagramClass.ALL, DiagramClass.O, DiagramClass.N]
+    )
+    @pytest.mark.parametrize("full", [False, True], ids=["even", "full"])
+    def test_merged_fixed_counts_match_reference(self, n, cls, full):
+        pts = 2 * n
+        shifts, _ = _group_shifts(n, full)
+        pool = class_pool(n, cls)
+        census = orbit_census(n, cls, full_rotation_group=full)
+        assert [s for s, _ in census.fixed_counts] == shifts + [pts]
+        assert dict(census.fixed_counts) == {
+            s: count_fixed_matchings(pool, pts, s) for s in shifts + [pts]
+        }
+        assert census.fixed_counts[-1] == (pts, census.total_gluings)
 
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceededError):
@@ -258,6 +286,33 @@ class TestOrbitCensus:
     def test_o_class_budget_charges_factorial(self):
         # 6! = 720 O-gluings fit a budget that (2*6-1)!! would burst
         assert orbit_census(6, DiagramClass.O, budget=720).orbit_count == 136
+
+    def test_worker_exception_propagates(self, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers see the patched module only when forked")
+        original = census_mod._shard_matchings
+
+        def failing(n, fp, cls):
+            if fp == 3:
+                raise RuntimeError("shard 3 failed")
+            return original(n, fp, cls)
+
+        monkeypatch.setattr(census_mod, "_shard_matchings", failing)
+        result = None
+        with pytest.raises(RuntimeError, match="shard 3 failed"):
+            result = orbit_census(5, workers=2)
+        assert result is None
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_from_progress_propagates(self):
+        def interrupt(done, orbits):
+            raise KeyboardInterrupt
+
+        result = None
+        with pytest.raises(KeyboardInterrupt):
+            result = orbit_census(5, workers=2, progress=interrupt)
+        assert result is None
+        assert multiprocessing.active_children() == []
 
     def test_progress_callback(self):
         calls = []
@@ -320,3 +375,18 @@ class TestBurnside:
 
     def test_n5_o_orbit_count(self):
         assert orbit_census(5, DiagramClass.O).orbit_count == 28
+
+
+class TestEnginePasses:
+    def test_verify_makes_one_engine_pass_per_class(self, capsys, monkeypatch):
+        passes = []
+        original = census_mod._shard_first_partners
+
+        def counted(n, cls):
+            passes.append((n, cls))
+            return original(n, cls)
+
+        monkeypatch.setattr(census_mod, "_shard_first_partners", counted)
+        assert main(["verify", "--to", "4"]) == 0
+        classes = (DiagramClass.ALL, DiagramClass.O, DiagramClass.N)
+        assert passes == [(n, cls) for n in range(2, 5) for cls in classes]
