@@ -7,7 +7,10 @@ generating gluings, and exists to validate the closed forms in
 Enumeration order is lexicographic on the flattened normal form: the least
 unmatched point is always matched next, partners ascending.  That order
 also partitions the stream into independent shards keyed by the partner of
-point 1, which is how the census parallelizes.
+point 1, which is how the census parallelizes.  Shards are not enumerated:
+deleting point 1 and its partner leaves a matching of 2n-2 points (class O:
+an O-matching), so each shard is one table of those, relabelled by int8
+arithmetic, plus the chord at point 1.  The table lives for one census.
 
 The census never materializes the set of seen canonical forms.  A gluing
 opens a new orbit exactly when it *is* the lexicographic minimum of its
@@ -30,6 +33,7 @@ the full stream, so it is charged the full (2n-1)!!.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -59,6 +63,7 @@ __all__ = [
 DEFAULT_BUDGET = 40_000_000
 BUDGET_ENV_VAR = "CHORD_CENSUS_BUDGET"
 _MAX_ENGINE_ORDER = 32  # a partner plus a shift, up to 4n - 2, must fit in int8
+_LIFT_BLOCK = 32_768  # rows relabelled per contiguous temporary in _lift
 
 ProgressFn = Callable[[int, int], None]  # (gluings processed, orbits found)
 
@@ -185,52 +190,49 @@ class FixedPointCount:
 
 def _shard_first_partners(n: int, cls: DiagramClass) -> list[int]:
     """0-based partners of point 0, one shard each."""
-    pts = 2 * n
-    if cls is DiagramClass.O:
-        return list(range(1, pts, 2))
-    return list(range(1, pts))
+    return list(range(1, 2 * n, 2 if cls is DiagramClass.O else 1))
+
+
+def _lift(T: np.ndarray, fp: int, o_only: bool) -> np.ndarray:
+    """Add the chord (0, fp) to every row of the matching table ``T``: its
+    labels go to the other points in order (class O: in order within each
+    parity), so the rows keep ``T``'s order."""
+    rows, width = T.shape
+    out = np.empty((rows, width + 2), dtype=np.int8)
+    out[:, 0] = fp
+    out[:, fp] = 0
+    for start in range(0, rows, _LIFT_BLOCK):
+        block = T[start : start + _LIFT_BLOCK]
+        dst = out[start : start + _LIFT_BLOCK]
+        if o_only:
+            up = (block >= fp) | ((block & 1) == 0)  # moves up 2: even v, odd v past fp
+            v = block + up + up
+            dst[:, 2::2] = v[:, 0::2]
+            dst[:, 1:fp:2] = v[:, 1 : fp - 1 : 2]
+            dst[:, fp + 2 :: 2] = v[:, fp::2]
+        else:
+            v = block + 1 + (block >= fp - 1)
+            dst[:, 1:fp] = v[:, : fp - 1]
+            dst[:, fp + 1 :] = v[:, fp - 1 :]
+    return out
+
+
+@functools.lru_cache(maxsize=1)
+def _matching_table(k: int, o_only: bool) -> np.ndarray:
+    """Partner arrays of every matching of 2k points (class O: every
+    even-odd matching), one read-only row each, in shard order."""
+    T = np.zeros((1, 0), dtype=np.int8)
+    for pts in range(2, 2 * k + 1, 2):
+        T = np.concatenate([_lift(T, fp, o_only) for fp in range(1, pts, 1 + o_only)])
+    T.flags.writeable = False
+    return T
 
 
 def _shard_matchings(n: int, fp: int, cls: DiagramClass) -> np.ndarray:
     """Partner arrays (0-based involutions, one row per gluing) for the
     shard with partner(0) = fp.  Class N shares the full stream."""
-    pts = 2 * n
-    M = np.zeros((1, pts), dtype=np.int8)
-    M[0, 0] = fp
-    M[0, fp] = 0
-    if cls is DiagramClass.O:
-        free = np.array([o for o in range(1, pts, 2) if o != fp], dtype=np.int8)
-        FREE = free.reshape(1, -1)
-        for endpoint in range(2, pts, 2):
-            rows, f = FREE.shape
-            newM = np.repeat(M, f, axis=0)
-            newFREE = np.empty((rows * f, f - 1), dtype=np.int8)
-            for j in range(f):
-                b = FREE[:, j]
-                sub = newM[j::f]
-                sub[:, endpoint] = b
-                np.put_along_axis(
-                    sub, b[:, None].astype(np.intp), np.int8(endpoint), axis=1
-                )
-                newFREE[j::f] = FREE[:, [c for c in range(f) if c != j]]
-            M, FREE = newM, newFREE
-        return M
-    free = np.array([p for p in range(1, pts) if p != fp], dtype=np.int8)
-    FREE = free.reshape(1, -1)
-    while FREE.shape[1] > 0:
-        rows, f = FREE.shape
-        branch = f - 1
-        newM = np.repeat(M, branch, axis=0)
-        newFREE = np.empty((rows * branch, f - 2), dtype=np.int8)
-        a = FREE[:, 0].astype(np.intp)
-        for j in range(1, f):
-            b = FREE[:, j]
-            sub = newM[j - 1 :: branch]
-            np.put_along_axis(sub, a[:, None], b[:, None], axis=1)
-            np.put_along_axis(sub, b[:, None].astype(np.intp), FREE[:, 0][:, None], axis=1)
-            newFREE[j - 1 :: branch] = FREE[:, [c for c in range(f) if c not in (0, j)]]
-        M, FREE = newM, newFREE
-    return M
+    o_only = cls is DiagramClass.O
+    return _lift(_matching_table(n - 1, o_only), fp, o_only)
 
 
 def _is_o_rows(M: np.ndarray) -> np.ndarray:
@@ -292,9 +294,7 @@ def _shard_task(args: tuple) -> tuple:
     records = []
     if keep_orbits:
         for row, st in zip(M[canon], stabs):
-            chords = tuple(
-                (i + 1, int(row[i]) + 1) for i in range(pts) if i < row[i]
-            )
+            chords = tuple((i + 1, int(row[i]) + 1) for i in range(pts) if i < row[i])
             records.append((chords, group_order // int(st), int(st)))
     return (rows, orbit_count, fixed, size_sum, records)
 
@@ -315,11 +315,7 @@ def _resolve_budget(budget: Optional[int]) -> int:
 
 def _charge_budget(n: int, cls: DiagramClass, budget: Optional[int]) -> None:
     limit = _resolve_budget(budget)
-    work = (
-        math.factorial(n)
-        if cls is DiagramClass.O
-        else double_factorial(2 * n - 1)
-    )
+    work = math.factorial(n) if cls is DiagramClass.O else double_factorial(2 * n - 1)
     if work > limit:
         raise BudgetExceededError(
             f"{work} gluings exceed the budget of {limit}; raise budget or "
@@ -376,10 +372,12 @@ def orbit_census(
         for fp in _shard_first_partners(n, diagram_class)
     ]
 
+    workers = min(workers, len(tasks))  # a pool forks all its workers up front
     total = orbit_count = size_sum = 0
     fixed = [0] * len(shifts)
     records: list[tuple] = []
     with ExitStack() as stack:
+        stack.callback(_matching_table.cache_clear)  # no table outlives the pass
         if workers == 1:
             shards = map(_shard_task, tasks)
         else:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 
+import numpy as np
 import pytest
 
 from chord_census import (
@@ -24,6 +25,7 @@ from chord_census import census as census_mod
 from chord_census.cli import main
 from chord_census.census import (
     _group_shifts,
+    _is_o_rows,
     _shard_first_partners,
     _shard_matchings,
     _shard_task,
@@ -53,6 +55,14 @@ def class_pool(n: int, cls: DiagramClass):
 
 def partner_of_1(m) -> int:
     return next(max(p) for p in m if 1 in p)
+
+
+def partner_row(m, n: int) -> tuple[int, ...]:
+    """0-based partner array of a 1-based oracle matching."""
+    row = [0] * (2 * n)
+    for a, b in (tuple(p) for p in m):
+        row[a - 1], row[b - 1] = b - 1, a - 1
+    return tuple(row)
 
 
 class TestEnumerateGluings:
@@ -130,6 +140,27 @@ class TestShardArrays:
                 assert pairs not in got
                 got.add(pairs)
         assert got == expected
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize(
+        "cls", [DiagramClass.ALL, DiagramClass.O, DiagramClass.N]
+    )
+    def test_shard_rows_in_stream_order(self, n, cls):
+        # Class all and N: lexicographic partner arrays.  Class O: lexicographic
+        # on the partners of 0-based points 2, 4, ...  Order fixes --orbit-reps.
+        # At n = 1 the only gluing is class O, so the class-N shard is empty.
+        order = (lambda row: row[2::2]) if cls is DiagramClass.O else None
+        rows_of = {}
+        for m in class_pool(n, cls):
+            row = partner_row(m, n)
+            rows_of.setdefault(row[0], []).append(row)
+        for fp in _shard_first_partners(n, cls):
+            M = _shard_matchings(n, fp, cls)
+            if cls is DiagramClass.N:
+                M = M[~_is_o_rows(M)]
+            expected = sorted(rows_of.get(fp, []), key=order)
+            assert M.dtype == np.int8 and M.shape == (len(expected), 2 * n)
+            assert [tuple(int(v) for v in row) for row in M] == expected
 
 
 class TestShardTask:
@@ -313,6 +344,38 @@ class TestOrbitCensus:
             result = orbit_census(5, workers=2, progress=interrupt)
         assert result is None
         assert multiprocessing.active_children() == []
+
+    def test_workers_capped_at_shard_count(self, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(census_mod, "ProcessPoolExecutor", RecordingPool)
+        assert orbit_census(2, workers=500) == orbit_census(2)
+        assert pools == [3]
+        assert orbit_census(1, workers=8) == orbit_census(1)
+        assert orbit_census(2, DiagramClass.O, workers=8) == orbit_census(2, DiagramClass.O)
+        assert pools == [3, 2]
+
+    def test_no_matching_table_outlives_a_census(self):
+        orbit_census(5)
+        assert census_mod._matching_table.cache_info().currsize == 0
+
+        def fail(done, orbits):
+            assert census_mod._matching_table.cache_info().currsize == 1
+            raise RuntimeError("progress failed")
+
+        with pytest.raises(RuntimeError, match="progress failed"):
+            orbit_census(5, workers=1, progress=fail)
+        assert census_mod._matching_table.cache_info().currsize == 0
 
     def test_progress_callback(self):
         calls = []
