@@ -338,6 +338,8 @@ def _verify_checks(n_to: int, budget, workers):
 
 
 def _cmd_verify(args) -> int:
+    if args.n_to < 2:
+        raise InvalidArgumentError(f"--to must be >= 2, got {args.n_to}")
     checks = []
     failed = 0
     for label, expected, got in _verify_checks(args.n_to, args.budget, args.workers):

@@ -30,6 +30,7 @@ from .errors import (
     DuplicateIndexError,
     GluingParseError,
     InvalidArgumentError,
+    InvalidGluingError,
     MissingIndexError,
     SelfPairError,
     SizeMismatchError,
@@ -165,12 +166,15 @@ def _gluing_of(d: DiagramLike) -> Gluing:
 def normalize(pairs: Iterable[tuple[int, int]]) -> Gluing:
     """Return the unique normal-form gluing for a set of point pairs.
 
-    The pairs must partition ``{1..2n}`` where n is the number of pairs.
-    Raises :class:`SelfPairError`, :class:`DuplicateIndexError` or
+    The pairs must partition ``{1..2n}`` where n >= 1 is the number of
+    pairs.  Raises :class:`InvalidGluingError` for no pairs, and
+    :class:`SelfPairError`, :class:`DuplicateIndexError` or
     :class:`MissingIndexError` otherwise.  Idempotent on normal input.
     """
     pair_list = [(int(a), int(b)) for a, b in pairs]
     n = len(pair_list)
+    if n == 0:
+        raise InvalidGluingError("a gluing needs at least one pair")
     pts = 2 * n
     seen: set[int] = set()
     for a, b in pair_list:

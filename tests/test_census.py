@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from oracles import (
     census_matchings,
     count_fixed_matchings,
     is_o_matching,
+    matching_key,
     o_matchings,
 )
 
@@ -75,9 +77,24 @@ class TestEnumerateGluings:
     def test_cardinality(self, n):
         assert sum(1 for _ in enumerate_gluings(n)) == double_factorial(2 * n - 1)
 
-    def test_lexicographic_order(self):
-        flats = [g.flattened() for g in enumerate_gluings(4)]
-        assert flats == sorted(flats)
+    @pytest.mark.parametrize(
+        "stream, oracle",
+        [(enumerate_gluings, all_matchings), (enumerate_o_gluings, o_matchings)],
+    )
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_lexicographic_order(self, stream, oracle, n):
+        expected = sorted(matching_key(m) for m in oracle(n))
+        assert [g.chords for g in stream(n)] == expected
+
+    @pytest.mark.parametrize("stream", [enumerate_gluings, enumerate_o_gluings])
+    def test_large_order_starts_lazily(self, stream):
+        # 997 chords (1,2)...(1993,1994), then the order-3 stream shifted by 1994
+        head = tuple((a, a + 1) for a in range(1, 1994, 2))
+        expected = [
+            head + tuple((a + 1994, b + 1994) for a, b in g.chords)
+            for g in islice(stream(3), 3)
+        ]
+        assert [g.chords for g in islice(stream(1000), 3)] == expected
 
     def test_first_and_last(self):
         items = list(enumerate_gluings(3))

@@ -250,6 +250,8 @@ class TestErrorContract:
             ["count", "--n", "0"],
             ["table", "--from", "3", "--to", "2"],
             ["enumerate", "--n", "0"],
+            ["verify", "--to", "1"],
+            ["verify", "--to", "-3", "--workers", "0"],
         ],
     )
     def test_bad_argument_values_exit_2(self, capsys, argv):
@@ -286,6 +288,8 @@ class TestErrorContract:
             lambda: counting.total_gluings(0),
             lambda: counting.build_table(0, 3),
             lambda: rotate(Gluing.parse("(1,2)"), 3),
+            lambda: enumerate_gluings(0),
+            lambda: enumerate_o_gluings(0),
         ],
     )
     def test_argument_checks_raise_package_error(self, call):

@@ -14,6 +14,7 @@ from chord_census import (
     DuplicateIndexError,
     Gluing,
     GluingParseError,
+    InvalidGluingError,
     MissingIndexError,
     SelfPairError,
     SizeMismatchError,
@@ -71,6 +72,10 @@ class TestNormalize:
         with pytest.raises(MissingIndexError):
             normalize([(1, 5)])
 
+    def test_no_pairs_rejected(self):
+        with pytest.raises(InvalidGluingError):
+            normalize([])
+
     @given(gluings())
     def test_normalize_injective_on_matchings(self, g):
         # same matching in scrambled pair order normalizes identically
@@ -98,6 +103,11 @@ class TestParsing:
     def test_json_n_mismatch(self):
         with pytest.raises(GluingParseError):
             Gluing.from_json({"n": 3, "chords": [[1, 2]]})
+
+    @pytest.mark.parametrize("obj", [{"chords": []}, {"n": 0, "chords": []}, '{"chords": []}'])
+    def test_json_without_chords_rejected(self, obj):
+        with pytest.raises(InvalidGluingError):
+            Gluing.from_json(obj)
 
     @given(gluings())
     def test_text_round_trip(self, g):
