@@ -50,7 +50,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .counting import double_factorial
-from .diagram import DiagramClass, Gluing
+from .diagram import DiagramClass, Gluing, _trusted_gluing
 from .errors import BudgetExceededError, InvalidArgumentError
 
 __all__ = [
@@ -130,7 +130,7 @@ def enumerate_gluings(n: int) -> Iterator[Gluing]:
     """
     if n < 1:
         raise InvalidArgumentError(f"diagram order must be >= 1, got {n}")
-    return map(Gluing, _matchings(n, o_only=False))
+    return map(_trusted_gluing, zip(_matchings(n, o_only=False)))
 
 
 def enumerate_o_gluings(n: int) -> Iterator[Gluing]:
@@ -141,7 +141,7 @@ def enumerate_o_gluings(n: int) -> Iterator[Gluing]:
     """
     if n < 1:
         raise InvalidArgumentError(f"diagram order must be >= 1, got {n}")
-    return map(Gluing, _matchings(n, o_only=True))
+    return map(_trusted_gluing, zip(_matchings(n, o_only=True)))
 
 
 # ---------------------------------------------------------------------------

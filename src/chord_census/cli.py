@@ -178,9 +178,14 @@ def _cmd_enumerate(args) -> int:
         if args.diagram_class is DiagramClass.O
         else enumerate_gluings(args.n)
     )
+    # class N: the gluings with a chord joining two points of equal parity
+    same_parity = None
+    if args.diagram_class is DiagramClass.N:
+        pts = 2 * args.n
+        same_parity = {(a, b) for a in range(1, pts) for b in range(a + 2, pts + 1, 2)}
     emitted = 0
     for g in stream:
-        if args.diagram_class is DiagramClass.N and classify(g) is DiagramClass.O:
+        if same_parity is not None and same_parity.isdisjoint(g.chords):
             continue
         if args.format == "json":
             print(json.dumps(g.to_json_dict(), sort_keys=True))

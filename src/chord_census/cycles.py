@@ -16,6 +16,11 @@ the travel direction around the circle, which is exactly the twisted band.
 Each new cycle starts at the least-numbered unvisited arc of its color,
 traversed clockwise, so output is deterministic.
 
+Both colors are traced by one integer walk over the partner list, which
+records each circle as its arcs in walk order, signed by direction.
+``trace_cycles`` decorates those lists into arc and chord steps;
+``cycle_counts`` and ``surface_type`` only count them and build no steps.
+
 An arc is identified by the endpoint whose parity matches its color: black
 arcs by their odd endpoint, white arcs by their even endpoint.
 """
@@ -155,28 +160,35 @@ class SurfaceType:
     genus: int
 
 
-def _trace_color(partner: list[int], pts: int, color: Color) -> tuple[Cycle, ...]:
-    black = color is Color.BLACK
-    starts = range(1, pts, 2) if black else range(2, pts + 1, 2)
-    visited: set[int] = set()
-    cycles: list[Cycle] = []
-    for s0 in starts:
-        if s0 in visited:
+def _boundary_walk(
+    partner: list[int], pts: int
+) -> tuple[list[list[int]], list[list[int]]]:
+    """The b-cycles and the w-cycles, each as its arcs in walk order.
+
+    An arc s appears as ``s`` when entered clockwise and as ``-s`` when
+    entered counterclockwise.  Black arcs have odd ids and white arcs even
+    ids, so one visited table serves both colors.
+    """
+    visited = bytearray(pts + 1)
+    b_cycles: list[list[int]] = []
+    w_cycles: list[list[int]] = []
+    for s0 in range(1, pts + 1):
+        if visited[s0]:
             continue
-        steps: list[Step] = []
+        parity = s0 & 1  # clockwise entry parity of this color: 1 black, 0 white
+        arcs = []
         s, cw = s0, True
         while True:
-            visited.add(s)
+            visited[s] = 1
             if cw:
-                enter, exit_ = s, s % pts + 1
+                arcs.append(s)
+                q = partner[s % pts + 1]
             else:
-                enter, exit_ = s % pts + 1, s
-            steps.append(ArcStep(enter, exit_, color))
-            q = partner[exit_]
-            steps.append(ChordStep(exit_, q))
+                arcs.append(-s)
+                q = partner[s]
             # unique same-color arc at q: forward (clockwise) iff the parity
             # of q matches the color's clockwise entry parity
-            if (q % 2 == 1) == black:
+            if q & 1 == parity:
                 s, cw = q, True
             else:
                 s, cw = (q - 2) % pts + 1, False
@@ -184,10 +196,22 @@ def _trace_color(partner: list[int], pts: int, color: Color) -> tuple[Cycle, ...
                 if not cw:  # a boundary circle covers each arc exactly once
                     raise AssertionError("re-entered start arc reversed")
                 break
-            if s in visited:
+            if visited[s]:
                 raise AssertionError("arc revisited before cycle closed")
-        cycles.append(Cycle(color, tuple(steps)))
-    return tuple(cycles)
+        (b_cycles if parity else w_cycles).append(arcs)
+    return b_cycles, w_cycles
+
+
+def _decorate(arcs: list[int], color: Color, partner: list[int], pts: int) -> Cycle:
+    steps: list[Step] = []
+    for s in arcs:
+        if s > 0:
+            enter, exit_ = s, s % pts + 1
+        else:
+            enter, exit_ = -s % pts + 1, -s
+        steps.append(ArcStep(enter, exit_, color))
+        steps.append(ChordStep(exit_, partner[exit_]))
+    return Cycle(color, tuple(steps))
 
 
 def trace_cycles(d: DiagramLike) -> CycleDecomposition:
@@ -197,16 +221,19 @@ def trace_cycles(d: DiagramLike) -> CycleDecomposition:
     exactly one w-cycle; cycles alternate arcs and chords and close up.
     """
     g = _gluing_of(d)
-    partner = g.partner_map()
+    partner, pts = g.partner_map(), g.points
+    b_cycles, w_cycles = _boundary_walk(partner, pts)
     return CycleDecomposition(
-        b_cycles=_trace_color(partner, g.points, Color.BLACK),
-        w_cycles=_trace_color(partner, g.points, Color.WHITE),
+        b_cycles=tuple(_decorate(c, Color.BLACK, partner, pts) for c in b_cycles),
+        w_cycles=tuple(_decorate(c, Color.WHITE, partner, pts) for c in w_cycles),
     )
 
 
 def cycle_counts(d: DiagramLike) -> tuple[int, int]:
     """The pair (number of b-cycles, number of w-cycles)."""
-    return trace_cycles(d).counts
+    g = _gluing_of(d)
+    b_cycles, w_cycles = _boundary_walk(g.partner_map(), g.points)
+    return (len(b_cycles), len(w_cycles))
 
 
 def surface_type(d: DiagramLike) -> SurfaceType:
@@ -219,7 +246,7 @@ def surface_type(d: DiagramLike) -> SurfaceType:
     ``chi = 2 - k - b`` (non-orientable, k cross-caps).
     """
     g = _gluing_of(d)
-    boundary = trace_cycles(g).total
+    boundary = sum(map(len, _boundary_walk(g.partner_map(), g.points)))
     chi = 1 - g.n
     orientable = classify(g) is DiagramClass.O
     if orientable:

@@ -20,6 +20,7 @@ between threads or processes.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -131,6 +132,11 @@ class Gluing(NamedTuple):
         return self.text()
 
 
+# Gluing from a 1-tuple ``(chords,)`` already in normal form: the same
+# instance the class call builds, without its Python-level ``__new__``.
+_trusted_gluing = functools.partial(tuple.__new__, Gluing)
+
+
 @dataclass(frozen=True)
 class ColorDiagram:
     """A gluing read against the fixed pattern coloring.
@@ -197,7 +203,7 @@ def normalize(pairs: Iterable[tuple[int, int]]) -> Gluing:
             f"pairs do not partition 1..{pts} ({'; '.join(detail)})"
         )
     chords = sorted((a, b) if a < b else (b, a) for a, b in pair_list)
-    return Gluing(tuple(chords))
+    return _trusted_gluing((tuple(chords),))
 
 
 def classify(d: DiagramLike) -> DiagramClass:
@@ -227,7 +233,7 @@ def rotate(g: Gluing, k: int) -> Gluing:
         b2 = (b + k - 1) % pts + 1
         chords.append((a2, b2) if a2 < b2 else (b2, a2))
     chords.sort()
-    return Gluing(tuple(chords))
+    return _trusted_gluing((tuple(chords),))
 
 
 def canonical_form(d: DiagramLike) -> Gluing:
@@ -260,7 +266,8 @@ def canonical_form(d: DiagramLike) -> Gluing:
         for e, span in zip(range(0, pts, 2), spans)
         if span == least
     )
-    return Gluing(tuple((i + 1, x + 1) for i, x in enumerate(best) if x > i))
+    chords = tuple((i + 1, x + 1) for i, x in enumerate(best) if x > i)
+    return _trusted_gluing((chords,))
 
 
 def isomorphic(d1: DiagramLike, d2: DiagramLike) -> bool:

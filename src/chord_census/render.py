@@ -10,6 +10,7 @@ index order.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .diagram import DiagramLike, _gluing_of
@@ -19,6 +20,7 @@ __all__ = ["render_svg"]
 _SIZE = 440
 _RADIUS = 170
 _LABEL_RADIUS = 196
+_FRAME_CACHE_ORDERS = 64  # point counts whose frame render_svg keeps
 
 
 def _point(i: int, pts: int) -> tuple[float, float]:
@@ -32,18 +34,17 @@ def _fmt(x: float) -> str:
     return f"{x + 0.0:.2f}"  # +0.0 folds -0.0 into 0.0
 
 
-def render_svg(d: DiagramLike) -> str:
-    """Render a diagram as a standalone SVG document string."""
-    g = _gluing_of(d)
-    pts = g.points
-    out: list[str] = []
-    out.append(
+@functools.lru_cache(maxsize=_FRAME_CACHE_ORDERS)
+def _frame(pts: int) -> tuple[str, tuple[tuple[str, str], ...], str]:
+    """Everything of a picture with ``pts`` points except its chords: the
+    text before the chord lines, the formatted point positions, and the
+    text after them."""
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" '
-        f'height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">'
-    )
-    out.append(f'<rect width="{_SIZE}" height="{_SIZE}" fill="#d9d9d9"/>')
-
-    xy = [tuple(map(_fmt, _point(i, pts))) for i in range(1, pts + 1)]
+        f'height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">',
+        f'<rect width="{_SIZE}" height="{_SIZE}" fill="#d9d9d9"/>',
+    ]
+    xy = tuple(tuple(map(_fmt, _point(i, pts))) for i in range(1, pts + 1))
 
     # circle arcs, clockwise span (i, i+1); odd i black
     for i in range(1, pts + 1):
@@ -51,12 +52,41 @@ def render_svg(d: DiagramLike) -> str:
         x2, y2 = xy[i % pts]
         color = "#000000" if i % 2 == 1 else "#ffffff"
         large = 1 if pts == 2 else 0  # two points means each arc is a half turn
-        out.append(
+        head.append(
             f'<path d="M {x1} {y1} '
             f'A {_RADIUS} {_RADIUS} 0 {large} 1 {x2} {y2}" '
             f'fill="none" stroke="{color}" stroke-width="8"/>'
         )
 
+    tail = []
+    for i in range(1, pts + 1):
+        x, y = xy[i - 1]
+        tail.append(f'<circle cx="{x}" cy="{y}" r="4" fill="#bb3333"/>')
+        angle = 2.0 * math.pi * (i - 1) / pts
+        c = _SIZE / 2.0
+        lx = c + _LABEL_RADIUS * math.sin(angle)
+        ly = c - _LABEL_RADIUS * math.cos(angle)
+        tail.append(
+            f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-family="monospace" '
+            f'font-size="14" text-anchor="middle" dominant-baseline="middle">'
+            f"{i}</text>"
+        )
+    tail.append("</svg>\n")
+    return "\n".join(head), xy, "\n".join(tail)
+
+
+def render_svg(d: DiagramLike) -> str:
+    """Render a diagram as a standalone SVG document string.
+
+    Only the chord lines are formatted per call.  The rest of the picture
+    depends only on the number of points and comes from a least-recently-used
+    cache of the frames of the last 64 orders.  A frame takes under 55 kB
+    for n <= 60, so all 60 such orders together take about 1.7 MB.  Inputs
+    that cycle through more than 64 orders miss on every call.
+    """
+    g = _gluing_of(d)
+    head, xy, tail = _frame(g.points)
+    out = [head]
     for a, b in g.chords:
         x1, y1 = xy[a - 1]
         x2, y2 = xy[b - 1]
@@ -64,19 +94,5 @@ def render_svg(d: DiagramLike) -> str:
             f'<line x1="{x1}" y1="{y1}" x2="{x2}" '
             f'y2="{y2}" stroke="#4a6a8a" stroke-width="2"/>'
         )
-
-    for i in range(1, pts + 1):
-        x, y = xy[i - 1]
-        out.append(f'<circle cx="{x}" cy="{y}" r="4" fill="#bb3333"/>')
-        angle = 2.0 * math.pi * (i - 1) / pts
-        c = _SIZE / 2.0
-        lx = c + _LABEL_RADIUS * math.sin(angle)
-        ly = c - _LABEL_RADIUS * math.cos(angle)
-        out.append(
-            f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-family="monospace" '
-            f'font-size="14" text-anchor="middle" dominant-baseline="middle">'
-            f"{i}</text>"
-        )
-
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out.append(tail)
+    return "\n".join(out)

@@ -51,7 +51,16 @@ class SpinGraph:
         return len(self.cyclic_order) // 2
 
     def validate(self) -> None:
-        """Raise :class:`InvalidSpinError` unless all spin rules hold."""
+        """Raise :class:`InvalidSpinError` unless all spin rules hold.
+
+        The cyclic order must realize the spin: consecutive half-edges are
+        partners of one color, the colors alternating sector by sector.
+        Checking each sector's partnership both ways, with both partner
+        maps covering exactly the half-edges, also settles the other rules:
+        every half-edge's partners are its two distinct neighbours (one
+        neighbour when 2n = 2), and the alternating run is the cyclic
+        order, closed with length 2n.
+        """
         order = self.cyclic_order
         m = len(order)
         labels = set(order)
@@ -61,54 +70,25 @@ class SpinGraph:
             raise InvalidSpinError("cyclic order repeats a half-edge")
 
         loop_ends = [x for pair in self.loops for x in pair]
-        if len(self.loops) != m // 2 or set(loop_ends) != labels or len(
-            set(loop_ends)
-        ) != m:
+        if len(self.loops) != m // 2 or len(loop_ends) != m or set(loop_ends) != labels:
             raise InvalidSpinError("loops must pair up all half-edges exactly once")
 
-        for name, partner in (
-            ("black", self.black_partner),
-            ("white", self.white_partner),
-        ):
-            if set(partner) != labels:
+        colors = [("black", self.black_partner), ("white", self.white_partner)]
+        for name, partner in colors:
+            if partner.keys() != labels:
                 raise InvalidSpinError(f"{name} partners must cover all half-edges")
-            for h in order:
-                p = partner[h]
-                if p == h:
-                    raise InvalidSpinError(f"{name} partner of {h!r} is itself")
-                if p not in labels or partner[p] != h:
-                    raise InvalidSpinError(f"{name} partnership at {h!r} not mutual")
-        # with a single loop there are only two sectors and they share the
-        # same edge pair, so the distinct-partner rule starts at 2n = 4
-        if m > 2:
-            for h in order:
-                if self.black_partner[h] == self.white_partner[h]:
-                    raise InvalidSpinError(
-                        f"half-edge {h!r} has identical black and white partners"
-                    )
 
-        # the alternating black/white run must close through all 2n half-edges
-        h = order[0]
-        cur = h
-        seen = []
-        for step in range(m):
-            nxt = self.black_partner[cur] if step % 2 == 0 else self.white_partner[cur]
-            seen.append(cur)
-            cur = nxt
-        if cur != h or len(set(seen)) != m:
-            raise InvalidSpinError("alternating color run does not close with length 2n")
-
-        # the cyclic order must realize the spin: consecutive half-edges are
-        # spin partners with alternating sector colors
-        first_black = self.black_partner[order[0]] == order[1]
+        if not self.sector_colors_start_black():
+            colors.reverse()
         for t in range(m):
             u, v = order[t], order[(t + 1) % m]
-            expect_black = first_black == (t % 2 == 0)
-            partner = self.black_partner if expect_black else self.white_partner
+            name, partner = colors[t % 2]
             if partner[u] != v:
                 raise InvalidSpinError(
                     f"cyclic order breaks sector alternation between {u!r} and {v!r}"
                 )
+            if partner[v] != u:
+                raise InvalidSpinError(f"{name} partnership at {v!r} not mutual")
 
     def sector_colors_start_black(self) -> bool:
         """Whether the sector after ``cyclic_order[0]`` is black."""

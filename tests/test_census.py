@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import pickle
 from itertools import islice
 
 import numpy as np
@@ -109,6 +110,17 @@ class TestEnumerateGluings:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             next(enumerate_gluings(0))
+
+
+@pytest.mark.parametrize("stream", [enumerate_gluings, enumerate_o_gluings])
+@pytest.mark.parametrize("n", [1, 4])
+def test_stream_items_are_plain_gluings(stream, n):
+    for g in stream(n):
+        assert type(g) is Gluing
+        assert g == Gluing(g.chords) and hash(g) == hash(Gluing(g.chords))
+        back = pickle.loads(pickle.dumps(g))
+        assert type(back) is Gluing and back == g
+        assert g._replace(chords=((1, 2),)) == Gluing(((1, 2),))
 
 
 class TestEnumerateOGluings:

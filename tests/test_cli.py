@@ -7,8 +7,10 @@ import json
 import pytest
 
 from chord_census import (
+    DiagramClass,
     Gluing,
     InvalidArgumentError,
+    classify,
     count_fixed,
     counting,
     enumerate_gluings,
@@ -85,6 +87,17 @@ class TestEnumerate:
         assert len(out_o.strip().split("\n")) == 6
         _, out_n, _ = run(capsys, "enumerate", "--n", "3", "--class", "n")
         assert len(out_n.strip().split("\n")) == 9
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_class_n_is_the_stream_without_o(self, capsys, n, fmt):
+        _, out, _ = run(capsys, "enumerate", "--n", str(n), "--class", "n", "--format", fmt)
+        kept = [g for g in enumerate_gluings(n) if classify(g) is DiagramClass.N]
+        if fmt == "json":
+            expected = [json.dumps(g.to_json_dict(), sort_keys=True) for g in kept]
+        else:
+            expected = [g.text() for g in kept]
+        assert out == "".join(line + "\n" for line in expected)
 
     def test_json_lines(self, capsys):
         _, out, _ = run(capsys, "enumerate", "--n", "2", "--format", "json")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,11 +17,13 @@ from chord_census import (
     Gluing,
     classify,
     cycle_counts,
+    enumerate_gluings,
     normalize,
     rotate,
     surface_type,
     trace_cycles,
 )
+from chord_census import cycles as cycles_mod
 
 from oracles import all_matchings, arc_is_black, boundary_components
 
@@ -114,6 +119,14 @@ class TestAgainstCornerOracle:
             )
             assert traced == oracle
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_counts_and_surface(self, n):
+        for g in enumerate_gluings(n):
+            circles = boundary_components(g.chords, n)
+            black = sum(1 for arcs, _ in circles if arc_is_black(min(arcs)))
+            assert cycle_counts(g) == (black, len(circles) - black)
+            assert surface_type(g).boundary_components == len(circles)
+
     @pytest.mark.parametrize("n", range(1, 5))
     def test_oracle_circles_are_monochromatic(self, n):
         for m in all_matchings(n):
@@ -199,3 +212,49 @@ class TestSurfaceType:
         else:
             assert s.genus >= 1
             assert 2 - s.genus - s.boundary_components == s.euler_characteristic
+
+
+def random_sample(seed: int, count: int) -> list[Gluing]:
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        points = list(range(1, 2 * rng.randint(20, 60) + 1))
+        rng.shuffle(points)
+        out.append(normalize(list(zip(points[::2], points[1::2]))))
+    return out
+
+
+# sha256 over the newline-joined trace_cycles(g).text() of the order-n stream
+TRACE_TEXT_SHA256 = {
+    1: "7153e027632cc11f29492041ff181a5601135766396640b5b02d109f9a2a8ea5",
+    2: "b11d1d7492faf6d95f86379b91af828211a76cd63a9cc737901c59782ff77fbe",
+    3: "8275e86bf6423da2d67aca6fdd0224dee35930f586b75c7711f3205a6da88d2e",
+    4: "10a462c12e9a29eef50f3d4617729bf0c2889b02cd3d14cf4a4702ddf061afdb",
+    5: "79c83d5a40db634d55fbf06c45c9e17734f5095abf49c9886e0221e3de1b86c8",
+    6: "e679755357f8d7d6588ba64030c807c1c8fcc7ca9dd603a06b8aaaeee1143082",
+}
+
+
+class TestCountsAgreeWithTrace:
+    def test_large_random_diagrams(self):
+        for g in random_sample(20260, 60):
+            dec = trace_cycles(g)
+            assert cycle_counts(g) == dec.counts
+            assert surface_type(g).boundary_components == dec.total
+
+    def test_counts_build_no_steps(self, monkeypatch):
+        sample = random_sample(20261, 20) + list(enumerate_gluings(4))
+        expected = [(trace_cycles(g).counts, trace_cycles(g).total) for g in sample]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("counting built a step")
+
+        for name in ("ArcStep", "ChordStep", "Cycle"):
+            monkeypatch.setattr(cycles_mod, name, refuse)
+        got = [(cycle_counts(g), surface_type(g).boundary_components) for g in sample]
+        assert got == expected
+
+    @pytest.mark.parametrize("n", sorted(TRACE_TEXT_SHA256))
+    def test_pinned_text(self, n):
+        text = "\n".join(trace_cycles(g).text() for g in enumerate_gluings(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == TRACE_TEXT_SHA256[n]

@@ -6,6 +6,7 @@ import hashlib
 from itertools import combinations
 
 from chord_census import Gluing, canonical_form, enumerate_gluings, render_svg
+from chord_census import render as render_mod
 
 
 class TestRenderSvg:
@@ -88,3 +89,16 @@ class TestPinnedBytes:
         data = render_svg(Gluing.parse(N20_GLUING)).encode()
         assert len(data) == N20_SVG_BYTES
         assert hashlib.sha256(data).hexdigest() == N20_SVG_SHA256
+
+    def test_frame_cache_across_orders(self):
+        n3 = "\n".join(N3_SVG_LINES) + "\n"
+        render_mod._frame.cache_clear()
+        assert render_svg(Gluing.parse("(1,4)(2,6)(3,5)")) == n3  # miss
+        data = render_svg(Gluing.parse(N20_GLUING)).encode()
+        assert len(data) == N20_SVG_BYTES
+        assert hashlib.sha256(data).hexdigest() == N20_SVG_SHA256
+        assert render_svg(Gluing.parse("(1,4)(2,6)(3,5)")) == n3  # hit
+        assert render_mod._frame.cache_info().hits == 1
+
+    def test_frame_cache_is_bounded(self):
+        assert render_mod._frame.cache_info().maxsize is not None

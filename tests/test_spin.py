@@ -103,6 +103,36 @@ class TestValidation:
         with pytest.raises(InvalidSpinError):
             SpinGraph(order, loops, black, white).validate()
 
+    @pytest.mark.parametrize(
+        "order, loops",
+        [((), ()), ((1, 2, 3), ((1, 2),)), ((1, 1, 2, 3), ((1, 2), (1, 3)))],
+        ids=["empty", "odd", "repeated half-edge"],
+    )
+    def test_order_must_list_2n_distinct_half_edges(self, order, loops):
+        partner = {h: h for h in order}
+        with pytest.raises(InvalidSpinError):
+            SpinGraph(order, loops, partner, partner).validate()
+
+    @pytest.mark.parametrize("color", ["black", "white"])
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_partners_must_cover_exactly(self, color, change):
+        s = diagram_to_spin_graph(ColorDiagram.parse("(1,3)(2,4)"))
+        partners = {"black": dict(s.black_partner), "white": dict(s.white_partner)}
+        if change == "missing":
+            del partners[color][4]
+        else:
+            partners[color][5] = 1
+        with pytest.raises(InvalidSpinError, match="must cover"):
+            SpinGraph(s.cyclic_order, s.loops, partners["black"],
+                      partners["white"]).validate()
+
+    def test_partner_must_not_be_itself(self):
+        order = (1, 2, 3, 4)
+        black = {1: 1, 2: 3, 3: 2, 4: 4}
+        white = {1: 2, 2: 1, 3: 4, 4: 3}
+        with pytest.raises(InvalidSpinError):
+            SpinGraph(order, ((1, 3), (2, 4)), black, white).validate()
+
     def test_cyclic_order_must_match_spin(self):
         s = diagram_to_spin_graph(ColorDiagram.parse("(1,3)(2,4)"))
         scrambled = (1, 3, 2, 4)
