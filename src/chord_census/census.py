@@ -18,14 +18,19 @@ points (class O: an O-matching), so each shard is one table of those,
 relabelled by int8 arithmetic, plus the chord at point 1.  The table lives
 for one census.
 
+The table and every shard are stored one row per point: row i holds the
+int8 partner of point i in each matching, one matching per column.  So
+relabelling a table into a shard and reading one point of every gluing
+both touch contiguous memory.
+
 The census never materializes the set of seen canonical forms.  A gluing
 opens a new orbit exactly when it *is* the lexicographic minimum of its
 rotation orbit, so counting minima counts orbits.  Each shift compares a
-shard (int8 partner arrays, one row per gluing) with its rotation column by
-column, keeping only the rows equal so far; almost every row differs in
-column 0, so a shift costs about one pass over one column.  Rows equal to
-the end are fixed by the shift, which gives the fixed-point counts and
-stabilizer orders.  Orbit representatives are collected on request.
+shard with its rotation point by point, keeping only the gluings equal so
+far; almost every gluing differs at point 0, so a shift costs about one
+pass over one point's row.  Gluings equal to the end are fixed by the
+shift, which gives the fixed-point counts and stabilizer orders.  Orbit
+representatives are collected on request.
 
 ``orbit_census`` is the only entry into the engine: one pass per (n, class,
 group) yields the orbit count, the class size and the fixed count of every
@@ -69,7 +74,6 @@ __all__ = [
 DEFAULT_BUDGET = 40_000_000
 BUDGET_ENV_VAR = "CHORD_CENSUS_BUDGET"
 _MAX_ENGINE_ORDER = 32  # a partner plus a shift, up to 4n - 2, must fit in int8
-_LIFT_BLOCK = 32_768  # rows relabelled per contiguous temporary in _lift
 _TAIL_POINTS = 6  # memo size vs speed: 8 points is faster, but its memo is ~8x larger
 
 ProgressFn = Callable[[int, int], None]  # (gluings processed, orbits found)
@@ -185,46 +189,59 @@ def _shard_first_partners(n: int, cls: DiagramClass) -> list[int]:
     return list(range(1, 2 * n, 2 if cls is DiagramClass.O else 1))
 
 
-def _lift(T: np.ndarray, fp: int, o_only: bool) -> np.ndarray:
-    """Add the chord (0, fp) to every row of the matching table ``T``: its
-    labels go to the other points in order (class O: in order within each
-    parity), so the rows keep ``T``'s order."""
-    rows, width = T.shape
-    out = np.empty((rows, width + 2), dtype=np.int8)
-    out[:, 0] = fp
-    out[:, fp] = 0
-    for start in range(0, rows, _LIFT_BLOCK):
-        block = T[start : start + _LIFT_BLOCK]
-        dst = out[start : start + _LIFT_BLOCK]
-        if o_only:
-            up = (block >= fp) | ((block & 1) == 0)  # moves up 2: even v, odd v past fp
-            v = block + up + up
-            dst[:, 2::2] = v[:, 0::2]
-            dst[:, 1:fp:2] = v[:, 1 : fp - 1 : 2]
-            dst[:, fp + 2 :: 2] = v[:, fp::2]
-        else:
-            v = block + 1 + (block >= fp - 1)
-            dst[:, 1:fp] = v[:, : fp - 1]
-            dst[:, fp + 1 :] = v[:, fp - 1 :]
+def _lift(
+    T: np.ndarray, fp: int, o_only: bool, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Add the chord (0, fp) to every matching of the table ``T`` (one row
+    per point, one column per matching).  The other labels keep their order
+    (class O: their order within each parity), so the columns keep ``T``'s
+    order.  Each table row is relabelled into its destination row of
+    ``out`` in place, so no temporary outgrows one row."""
+    width, rows = T.shape
+    if out is None:
+        out = np.empty((width + 2, rows), dtype=np.int8)
+    out[0] = fp
+    out[fp] = 0
+    for j, src in enumerate(T):
+        # dst = src + shift, the shift written first as bytes (a bool is 0 or 1).
+        if not o_only:  # labels at or past fp - 1 move up two, the rest one
+            dst = out[j + 1 if j < fp - 1 else j + 2]
+            np.greater_equal(src, fp - 1, out=dst.view(np.bool_))
+            dst += 1
+        elif j % 2:  # odd point, even partners: every label moves up two
+            dst = out[j if j < fp else j + 2]
+            dst.fill(2)
+        else:  # even point, odd partners: labels past fp move up two
+            dst = out[j + 2]
+            np.greater_equal(src, fp, out=dst.view(np.bool_))
+            dst += dst
+        dst += src
     return out
 
 
 @functools.lru_cache(maxsize=1)
 def _matching_table(k: int, o_only: bool) -> np.ndarray:
     """Partner arrays of every matching of 2k points (class O: every
-    even-odd matching), one read-only row each, in shard order."""
-    T = np.zeros((1, 0), dtype=np.int8)
+    even-odd matching), read-only, one row per point and one column per
+    matching in shard order.  Each level is lifted into one array."""
+    T = np.zeros((0, 1), dtype=np.int8)
     for pts in range(2, 2 * k + 1, 2):
-        T = np.concatenate([_lift(T, fp, o_only) for fp in range(1, pts, 1 + o_only)])
+        fps = range(1, pts, 1 + o_only)
+        rows = T.shape[1]
+        level = np.empty((pts, rows * len(fps)), dtype=np.int8)
+        for i, fp in enumerate(fps):
+            _lift(T, fp, o_only, level[:, i * rows : (i + 1) * rows])
+        T = level
     T.flags.writeable = False
     return T
 
 
 def _shard_matchings(n: int, fp: int, cls: DiagramClass) -> np.ndarray:
     """Partner arrays (0-based involutions, one row per gluing) for the
-    shard with partner(0) = fp.  Class N shares the full stream."""
+    shard with partner(0) = fp.  Class N shares the full stream.  This is a
+    transposed view: the array beneath holds one contiguous row per point."""
     o_only = cls is DiagramClass.O
-    return _lift(_matching_table(n - 1, o_only), fp, o_only)
+    return _lift(_matching_table(n - 1, o_only), fp, o_only).T
 
 
 def _is_o_rows(M: np.ndarray) -> np.ndarray:
@@ -244,33 +261,36 @@ def _rotated(col: np.ndarray, s: int, pts: int) -> np.ndarray:
 def _shard_task(args: tuple) -> tuple:
     """One shard of the census; module level so worker processes can run it.
 
-    Returns (rows_in_class, orbit_count, fixed_counts, orbit_size_sum,
-    orbit_records); the records list is empty unless ``keep_orbits``.
+    Reads the shard as one contiguous row per point (``Mt``, the transpose
+    of ``_shard_matchings``, which costs no copy), so one point of every
+    gluing is one contiguous read.  Returns (rows_in_class, orbit_count,
+    fixed_counts, orbit_size_sum, orbit_records); the records list is empty
+    unless ``keep_orbits``.
     """
     n, cls_value, fp, shifts, keep_orbits = args
     cls = DiagramClass(cls_value)
     pts = 2 * n
-    M = _shard_matchings(n, fp, cls)
+    Mt = _shard_matchings(n, fp, cls).T
     if cls is DiagramClass.N:
-        M = M[~_is_o_rows(M)]
-    rows = M.shape[0]
+        Mt = Mt.compress(~_is_o_rows(Mt.T), axis=1)
+    rows = Mt.shape[1]
     if rows == 0:
         return (0, 0, [0] * len(shifts), 0, [])
 
     not_min = np.zeros(rows, dtype=bool)
-    stab = np.ones(rows, dtype=np.int64)
+    stab = np.ones(rows, dtype=np.uint8)  # group order <= 2 * _MAX_ENGINE_ORDER = 64
     fixed = []
     for s in shifts:
-        # Column i of row r rotated by s is (M[r, i - s] + s) mod pts.  Only rows
-        # equal so far go on to the next column; column 0 is fp in every row.
-        rot = _rotated(M[:, -s], s, pts)
+        # Point i of gluing r rotated by s has partner (Mt[i - s, r] + s) mod pts.
+        # Only gluings equal so far go on to the next point; point 0 is fp in all.
+        rot = _rotated(Mt[-s], s, pts)
         not_min |= rot < fp
         alive = np.flatnonzero(rot == fp)
         for i in range(1, pts):
             if alive.size == 0:
                 break
-            rot = _rotated(M[alive, i - s], s, pts)
-            base = M[alive, i]
+            rot = _rotated(Mt[i - s][alive], s, pts)
+            base = Mt[i][alive]
             not_min[alive[rot < base]] = True
             alive = alive[rot == base]
         fixed.append(alive.size)
@@ -285,7 +305,7 @@ def _shard_task(args: tuple) -> tuple:
     size_sum = int((group_order // stabs).sum())
     records = []
     if keep_orbits:
-        for row, st in zip(M[canon], stabs):
+        for row, st in zip(Mt[:, canon].T, stabs):
             chords = tuple((i + 1, int(row[i]) + 1) for i in range(pts) if i < row[i])
             records.append((chords, group_order // int(st), int(st)))
     return (rows, orbit_count, fixed, size_sum, records)

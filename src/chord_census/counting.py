@@ -124,10 +124,7 @@ def colored_fixed(n: int, m: int) -> int:
     q = n // m
     if q % 2 == 1:
         return double_factorial(2 * m - 1) * q**m
-    return sum(
-        math.comb(2 * m, 2 * r) * double_factorial(2 * r - 1) * q**r
-        for r in range(m + 1)
-    )
+    return _even_q_sum(2 * m, q)
 
 
 def uncolored_fixed(n: int, k: int) -> int:
@@ -142,10 +139,18 @@ def uncolored_fixed(n: int, k: int) -> int:
     q = 2 * n // k
     if q % 2 == 1:
         return double_factorial(k - 1) * q ** (k // 2)
-    return sum(
-        math.comb(k, 2 * r) * double_factorial(2 * r - 1) * q**r
-        for r in range(k // 2 + 1)
-    )
+    return _even_q_sum(k, q)
+
+
+def _even_q_sum(points: int, q: int) -> int:
+    """sum_r C(points, 2r) * (2r-1)!! * q**r for r = 0..points//2, carrying
+    (2r-1)!! * q**r as one running product."""
+    total = 0
+    weight = 1
+    for r in range(points // 2 + 1):
+        total += math.comb(points, 2 * r) * weight
+        weight *= (2 * r + 1) * q
+    return total
 
 
 def o_fixed(n: int, i: int) -> int:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import multiprocessing
 import pickle
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -28,6 +30,7 @@ from chord_census.cli import main
 from chord_census.census import (
     _group_shifts,
     _is_o_rows,
+    _matching_table,
     _shard_first_partners,
     _shard_matchings,
     _shard_task,
@@ -191,6 +194,18 @@ class TestShardArrays:
             assert M.dtype == np.int8 and M.shape == (len(expected), 2 * n)
             assert [tuple(int(v) for v in row) for row in M] == expected
 
+    @pytest.mark.parametrize("k", range(0, 7))
+    @pytest.mark.parametrize("cls", [DiagramClass.ALL, DiagramClass.O])
+    def test_matching_table_is_one_read_only_row_per_point(self, k, cls):
+        o_only = cls is DiagramClass.O
+        rows = math.factorial(k) if o_only else double_factorial(2 * k - 1)
+        try:
+            T = _matching_table(k, o_only)
+            assert T.dtype == np.int8 and T.shape == (2 * k, rows)
+            assert T.flags.c_contiguous and not T.flags.writeable
+        finally:
+            _matching_table.cache_clear()
+
 
 class TestShardTask:
     """Each shard's counts against the reference orbits and fixed points."""
@@ -217,6 +232,38 @@ class TestShardTask:
             assert fixed == [count_fixed_matchings(shard, pts, s) for s in shifts]
             assert {chords: size for chords, size, _ in records} == reps
             assert all(size * st == group_order for _, size, st in records)
+
+    def test_every_n7_shard_matches_pinned_digest(self):
+        # sha256 over repr() of every tuple, in loop order, pinned from the
+        # row-major engine this layout replaced.
+        digest = hashlib.sha256()
+        try:
+            for cls in (DiagramClass.ALL, DiagramClass.O, DiagramClass.N):
+                for full in (False, True):
+                    shifts, _ = _group_shifts(7, full)
+                    for fp in _shard_first_partners(7, cls):
+                        task = _shard_task((7, cls.value, fp, shifts, True))
+                        digest.update(repr(task).encode())
+        finally:
+            _matching_table.cache_clear()
+        assert digest.hexdigest() == (
+            "d0dad7229fd5ed0d3bcc8c7f5e7a9debeb54e4521ff54c89c15cfd8eed3872b2"
+        )
+
+    def test_task_peak_below_table_plus_shard_plus_20_bytes_a_row(self):
+        n = 8
+        shifts, _ = _group_shifts(n, False)
+        _matching_table.cache_clear()
+        tracemalloc.start()
+        try:
+            _shard_task((n, DiagramClass.ALL.value, 1, shifts, False))
+            _, peak = tracemalloc.get_traced_memory()
+            table = _matching_table(n - 1, False)
+        finally:
+            tracemalloc.stop()
+            _matching_table.cache_clear()
+        rows = table.shape[1]
+        assert peak < table.nbytes + rows * 2 * n + 20 * rows
 
 
 class TestOrbitCensus:

@@ -123,6 +123,27 @@ class TestFixedPointFormulas:
                 if n % m == 0:
                     assert uncolored_fixed(n, 2 * m) == colored_fixed(n, m)
 
+    def test_fixed_counts_match_term_by_term_sums(self):
+        # Each term's (2r-1)!! and q**r computed afresh, for every divisor.
+        def odd_product(m):
+            return math.prod(range(m, 0, -2))
+
+        def fixed(points, q):
+            if q % 2 == 1:
+                return odd_product(points - 1) * q ** (points // 2)
+            return sum(
+                math.comb(points, 2 * r) * odd_product(2 * r - 1) * q**r
+                for r in range(points // 2 + 1)
+            )
+
+        for n in range(1, 201):
+            for m in range(1, n + 1):
+                if n % m == 0:
+                    assert colored_fixed(n, m) == fixed(2 * m, n // m)
+            for k in range(1, 2 * n + 1):
+                if 2 * n % k == 0:
+                    assert uncolored_fixed(n, k) == fixed(k, 2 * n // k)
+
     def test_uncolored_non_divisor_rejected(self):
         with pytest.raises(NonDivisorError):
             uncolored_fixed(4, 3)
