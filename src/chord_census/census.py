@@ -38,24 +38,25 @@ group element.  ``count_fixed`` and ``burnside_check`` read their answers
 from such a census.
 
 Work is bounded by a gluing budget (default 4*10^7, overridable with the
-``CHORD_CENSUS_BUDGET`` environment variable or per call); class N filters
-the full stream, so it is charged the full (2n-1)!!.
+``CHORD_CENSUS_BUDGET`` environment variable or per call).  Class N is the
+class-all census less the class-O one, so it is charged the full (2n-1)!!.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .counting import double_factorial
-from .diagram import DiagramClass, Gluing, _trusted_gluing
+from .diagram import DiagramClass, Gluing, _trusted_gluing, classify
 from .errors import BudgetExceededError, InvalidArgumentError
 
 __all__ = [
@@ -238,17 +239,10 @@ def _matching_table(k: int, o_only: bool) -> np.ndarray:
 
 def _shard_matchings(n: int, fp: int, cls: DiagramClass) -> np.ndarray:
     """Partner arrays (0-based involutions, one row per gluing) for the
-    shard with partner(0) = fp.  Class N shares the full stream.  This is a
-    transposed view: the array beneath holds one contiguous row per point."""
+    class-all or class-O shard with partner(0) = fp.  This is a transposed
+    view: the array beneath holds one contiguous row per point."""
     o_only = cls is DiagramClass.O
     return _lift(_matching_table(n - 1, o_only), fp, o_only).T
-
-
-def _is_o_rows(M: np.ndarray) -> np.ndarray:
-    """Class-O mask: every point's partner has opposite parity."""
-    pts = M.shape[1]
-    idx = np.arange(pts, dtype=np.int8)
-    return (((M + idx) & 1) == 1).all(axis=1)
 
 
 def _rotated(col: np.ndarray, s: int, pts: int) -> np.ndarray:
@@ -263,7 +257,7 @@ def _shard_task(args: tuple) -> tuple:
 
     Reads the shard as one contiguous row per point (``Mt``, the transpose
     of ``_shard_matchings``, which costs no copy), so one point of every
-    gluing is one contiguous read.  Returns (rows_in_class, orbit_count,
+    gluing is one contiguous read.  Returns (rows, orbit_count,
     fixed_counts, orbit_size_sum, orbit_records); the records list is empty
     unless ``keep_orbits``.
     """
@@ -271,12 +265,7 @@ def _shard_task(args: tuple) -> tuple:
     cls = DiagramClass(cls_value)
     pts = 2 * n
     Mt = _shard_matchings(n, fp, cls).T
-    if cls is DiagramClass.N:
-        Mt = Mt.compress(~_is_o_rows(Mt.T), axis=1)
     rows = Mt.shape[1]
-    if rows == 0:
-        return (0, 0, [0] * len(shifts), 0, [])
-
     not_min = np.zeros(rows, dtype=bool)
     stab = np.ones(rows, dtype=np.uint8)  # group order <= 2 * _MAX_ENGINE_ORDER = 64
     fixed = []
@@ -365,7 +354,8 @@ def orbit_census(
     fixes (``fixed_counts``).  ``keep_orbits`` defaults to True up to n = 6
     and False above, where the representative list would get large; counts
     are exact either way.  Results are identical for every ``workers``
-    setting.
+    setting.  Class N is a class-all census less a class-O one; ``progress``
+    gets its numbers after each class-all shard.
     """
     if n < 1:
         raise InvalidArgumentError(f"diagram order must be >= 1, got {n}")
@@ -376,6 +366,20 @@ def orbit_census(
             f"the int8 census engine needs n <= {_MAX_ENGINE_ORDER}, got {n}"
         )
     _charge_budget(n, diagram_class, budget)
+    if diagram_class is DiagramClass.N:
+        marks: list[tuple[int, int]] = []  # (rows, orbits) after each class-O shard
+        shard = itertools.count()  # class-all shard j (fp j + 1) follows O's 0..j // 2
+
+        def less_o(total: int, orbits: int) -> None:
+            o_total, o_orbits = marks[next(shard) // 2]
+            progress(total - o_total, orbits - o_orbits)
+
+        kw = dict(full_rotation_group=full_rotation_group, budget=budget, workers=workers)
+        o = orbit_census(
+            n, DiagramClass.O, keep_orbits=False, progress=lambda *m: marks.append(m), **kw
+        )
+        every = orbit_census(n, keep_orbits=keep_orbits, progress=progress and less_o, **kw)
+        return _class_n(every, o)
     if keep_orbits is None:
         keep_orbits = n <= 6
     shifts, group_order = _group_shifts(n, full_rotation_group)
@@ -420,6 +424,22 @@ def orbit_census(
         orbit_count=orbit_count,
         total_gluings=total,
         fixed_counts=tuple(zip(shifts, fixed)) + ((2 * n, total),),
+        orbits=orbits,
+    )
+
+
+def _class_n(every: OrbitCensus, o: OrbitCensus) -> OrbitCensus:
+    """Class N as class all less class O; a rotation never changes the class."""
+    orbits = every.orbits and tuple(
+        i for i in every.orbits if classify(i.representative) is DiagramClass.N
+    )
+    fixed = tuple((s, a - b) for (s, a), (_, b) in zip(every.fixed_counts, o.fixed_counts))
+    return replace(
+        every,
+        diagram_class=DiagramClass.N,
+        orbit_count=every.orbit_count - o.orbit_count,
+        total_gluings=every.total_gluings - o.total_gluings,
+        fixed_counts=fixed,
         orbits=orbits,
     )
 

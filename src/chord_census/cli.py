@@ -16,7 +16,7 @@ import sys
 from typing import Optional
 
 from . import counting
-from .census import _burnside_holds, enumerate_gluings, enumerate_o_gluings, orbit_census
+from .census import _burnside_holds, _class_n, enumerate_gluings, enumerate_o_gluings, orbit_census
 # Unused here, but perfbench's traced verify run patches these names on this module.
 from .census import burnside_check, count_fixed  # noqa: F401
 from .cycles import surface_type, trace_cycles
@@ -301,18 +301,16 @@ def _cmd_classify(args) -> int:
 def _verify_checks(n_to: int, budget, workers):
     """Yield (label, expected, got) for every formula-versus-census check.
 
-    One census per (n, class) supplies every brute-force number.
+    A class-all and a class-O census per n supply every brute-force number.
     """
     for n in range(2, n_to + 1):
-        censuses = {}
-        for cls, formula in (
-            (DiagramClass.ALL, counting.colored_classes),
-            (DiagramClass.O, counting.o_classes),
-            (DiagramClass.N, counting.n_classes),
-        ):
-            census = censuses[cls] = orbit_census(
-                n, cls, keep_orbits=False, budget=budget, workers=workers
-            )
+        every, o = (
+            orbit_census(n, cls, keep_orbits=False, budget=budget, workers=workers)
+            for cls in (DiagramClass.ALL, DiagramClass.O)
+        )
+        censuses = {DiagramClass.ALL: every, DiagramClass.O: o, DiagramClass.N: _class_n(every, o)}
+        for cls, formula in _CLASS_COUNTS.items():
+            census = censuses[cls]
             yield (f"classes n={n} class={cls.value}", formula(n), census.orbit_count)
             yield (
                 f"stream total n={n} class={cls.value}",
@@ -329,7 +327,7 @@ def _verify_checks(n_to: int, budget, workers):
         yield (f"fixed n={n} k=2 class=o equals n", n, fixed_o[2])
         for cls, census in censuses.items():
             yield (f"burnside n={n} class={cls.value}", True, _burnside_holds(census))
-        if n % 2 == 1 and counting.euler_phi(n) == n - 1:  # n is an odd prime
+        if counting._is_odd_prime(n):
             yield (
                 f"prime shortcut d** n={n}",
                 counting.colored_classes(n),

@@ -9,9 +9,9 @@ Function map (b = boundary of what each one counts):
 
 * ``total_gluings`` / ``total_o_gluings`` - |B_2n| = (2n-1)!! and n!.
 * ``colored_fixed(n, m)`` - color diagrams fixed by the even rotation 2m,
-  for m | n.  Splits on the parity of n/m.
+  for m | n: ``uncolored_fixed(n, 2m)``.
 * ``uncolored_fixed(n, k)`` - uncolored diagrams fixed by rotation k, for
-  k | 2n.  Same shape with k in place of 2m.
+  k | 2n.  Splits on the parity of 2n/k.
 * ``o_fixed(n, i)`` - O-diagrams fixed by rotation 2i: ``i! * (n/i)**i``.
 * ``colored_classes`` / ``o_classes`` / ``n_classes`` / ``uncolored_classes``
   - orbit counts by Burnside averaging over the even rotation group
@@ -85,14 +85,7 @@ def euler_phi(q: int) -> int:
 
 
 def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return p >= 3 and p % 2 == 1 and euler_phi(p) == p - 1
 
 
 def total_gluings(n: int) -> int:
@@ -113,18 +106,12 @@ def _check_order(n: int) -> None:
 
 
 def colored_fixed(n: int, m: int) -> int:
-    """Color diagrams fixed by the even rotation 2m, for m dividing n.
-
-    Equals ``(2m-1)!! * (n/m)**m`` when n/m is odd, otherwise
-    ``sum_r C(2m, 2r) * (2r-1)!! * (n/m)**r`` for r = 0..m.
-    """
+    """Color diagrams fixed by the even rotation 2m, for m dividing n: the
+    uncolored count ``uncolored_fixed(n, 2m)``, the same formula at k = 2m."""
     _check_order(n)
     if m < 1 or n % m != 0:
         raise NonDivisorError(f"need m | n, got m={m}, n={n}")
-    q = n // m
-    if q % 2 == 1:
-        return double_factorial(2 * m - 1) * q**m
-    return _even_q_sum(2 * m, q)
+    return uncolored_fixed(n, 2 * m)
 
 
 def uncolored_fixed(n: int, k: int) -> int:
@@ -139,16 +126,10 @@ def uncolored_fixed(n: int, k: int) -> int:
     q = 2 * n // k
     if q % 2 == 1:
         return double_factorial(k - 1) * q ** (k // 2)
-    return _even_q_sum(k, q)
-
-
-def _even_q_sum(points: int, q: int) -> int:
-    """sum_r C(points, 2r) * (2r-1)!! * q**r for r = 0..points//2, carrying
-    (2r-1)!! * q**r as one running product."""
     total = 0
-    weight = 1
-    for r in range(points // 2 + 1):
-        total += math.comb(points, 2 * r) * weight
+    weight = 1  # (2r-1)!! * q**r as one running product
+    for r in range(k // 2 + 1):
+        total += math.comb(k, 2 * r) * weight
         weight *= (2 * r + 1) * q
     return total
 

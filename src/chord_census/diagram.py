@@ -113,14 +113,15 @@ class Gluing(NamedTuple):
             raise GluingParseError("JSON gluing must be an object with 'chords'")
         chords = obj["chords"]
         if not isinstance(chords, list) or not all(
-            isinstance(c, (list, tuple)) and len(c) == 2 for c in chords
+            isinstance(c, (list, tuple)) and len(c) == 2 and all(type(x) is int for x in c)
+            for c in chords
         ):
-            raise GluingParseError("'chords' must be a list of index pairs")
+            raise GluingParseError("'chords' must be a list of integer index pairs")
         if "n" in obj and obj["n"] != len(chords):
             raise GluingParseError(
                 f"declared n={obj['n']} but {len(chords)} chords given"
             )
-        return normalize([(int(a), int(b)) for a, b in chords])
+        return normalize([(a, b) for a, b in chords])
 
     def text(self) -> str:
         return "".join(f"({a},{b})" for a, b in self.chords)

@@ -29,7 +29,6 @@ from chord_census import census as census_mod
 from chord_census.cli import main
 from chord_census.census import (
     _group_shifts,
-    _is_o_rows,
     _matching_table,
     _shard_first_partners,
     _shard_matchings,
@@ -61,6 +60,26 @@ def class_pool(n: int, cls: DiagramClass):
 
 def partner_of_1(m) -> int:
     return next(max(p) for p in m if 1 in p)
+
+
+def shard_counts(n: int, cls: DiagramClass, fp: int, shifts: list[int]) -> tuple:
+    """``_shard_task``'s tuple with orbit records.  Class N has no shard of
+    its own: it is the class-all shard less the class-O shard with the same
+    first partner (there is none when fp is even), as the class-N census
+    and its progress marks take it."""
+    if cls is not DiagramClass.N:
+        return _shard_task((n, cls.value, fp, shifts, True))
+    rows, orbit_count, fixed, size_sum, records = _shard_task(
+        (n, DiagramClass.ALL.value, fp, shifts, True)
+    )
+    if fp % 2:
+        o_rows, o_count, o_fixed, o_sum, _ = _shard_task(
+            (n, DiagramClass.O.value, fp, shifts, False)
+        )
+        rows, orbit_count, size_sum = rows - o_rows, orbit_count - o_count, size_sum - o_sum
+        fixed = [a - b for a, b in zip(fixed, o_fixed)]
+    records = [r for r in records if classify(Gluing(r[0])) is DiagramClass.N]
+    return rows, orbit_count, fixed, size_sum, records
 
 
 def partner_row(m, n: int) -> tuple[int, ...]:
@@ -180,16 +199,19 @@ class TestShardArrays:
     def test_shard_rows_in_stream_order(self, n, cls):
         # Class all and N: lexicographic partner arrays.  Class O: lexicographic
         # on the partners of 0-based points 2, 4, ...  Order fixes --orbit-reps.
-        # At n = 1 the only gluing is class O, so the class-N shard is empty.
+        # Class N keeps the rows of the class-all shard that have a chord
+        # joining two points of equal parity; at n = 1 there are none.
         order = (lambda row: row[2::2]) if cls is DiagramClass.O else None
         rows_of = {}
         for m in class_pool(n, cls):
             row = partner_row(m, n)
             rows_of.setdefault(row[0], []).append(row)
         for fp in _shard_first_partners(n, cls):
-            M = _shard_matchings(n, fp, cls)
             if cls is DiagramClass.N:
-                M = M[~_is_o_rows(M)]
+                M = _shard_matchings(n, fp, DiagramClass.ALL)
+                M = M[((M + np.arange(2 * n)) % 2 == 0).any(axis=1)]
+            else:
+                M = _shard_matchings(n, fp, cls)
             expected = sorted(rows_of.get(fp, []), key=order)
             assert M.dtype == np.int8 and M.shape == (len(expected), 2 * n)
             assert [tuple(int(v) for v in row) for row in M] == expected
@@ -223,9 +245,7 @@ class TestShardTask:
         for fp in _shard_first_partners(n, cls):
             shard = [m for m in pool if partner_of_1(m) == fp + 1]
             reps = {k: size for k, size in orbits.items() if k[0] == (1, fp + 1)}
-            rows, orbit_count, fixed, size_sum, records = _shard_task(
-                (n, cls.value, fp, shifts, True)
-            )
+            rows, orbit_count, fixed, size_sum, records = shard_counts(n, cls, fp, shifts)
             assert rows == len(shard)
             assert orbit_count == len(reps)
             assert size_sum == sum(reps.values())
@@ -235,10 +255,11 @@ class TestShardTask:
 
     def test_every_n7_shard_matches_pinned_digest(self):
         # sha256 over repr() of every tuple, in loop order, pinned from the
-        # row-major engine this layout replaced.
+        # engine that still had a class-N shard path (class N is now class
+        # all less class O, so only those two classes have shards).
         digest = hashlib.sha256()
         try:
-            for cls in (DiagramClass.ALL, DiagramClass.O, DiagramClass.N):
+            for cls in (DiagramClass.ALL, DiagramClass.O):
                 for full in (False, True):
                     shifts, _ = _group_shifts(7, full)
                     for fp in _shard_first_partners(7, cls):
@@ -247,7 +268,7 @@ class TestShardTask:
         finally:
             _matching_table.cache_clear()
         assert digest.hexdigest() == (
-            "d0dad7229fd5ed0d3bcc8c7f5e7a9debeb54e4521ff54c89c15cfd8eed3872b2"
+            "197993e02964612735daac7d7fadb12357cef1149ea0abf7a82a1bd9e6986cd6"
         )
 
     def test_task_peak_below_table_plus_shard_plus_20_bytes_a_row(self):
@@ -360,10 +381,53 @@ class TestOrbitCensus:
         }
         assert census.fixed_counts[-1] == (pts, census.total_gluings)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("full", [False, True], ids=["even", "full"])
+    def test_class_n_census_matches_reference(self, n, full):
+        pts = 2 * n
+        shifts, group_order = _group_shifts(n, full)
+        pool = class_pool(n, DiagramClass.N)
+        reference = census_matchings(pool, pts, even_only=not full)
+        calls = []
+        census = orbit_census(
+            n, DiagramClass.N, keep_orbits=True, full_rotation_group=full,
+            progress=lambda done, orbits: calls.append((done, orbits)),
+        )
+        assert census.diagram_class is DiagramClass.N
+        assert census.group_order == group_order
+        assert [o.representative.chords for o in census.orbits] == sorted(reference)
+        for o in census.orbits:
+            assert o.size == reference[o.representative.chords]
+            assert o.size * o.stabilizer_order == group_order
+        assert census.orbit_count == len(reference)
+        assert census.total_gluings == len(pool)
+        assert dict(census.fixed_counts) == {
+            s: count_fixed_matchings(pool, pts, s) for s in shifts + [pts]
+        }
+        # One call per class-all shard: the N rows and N orbits whose point 1
+        # is matched at or below that shard's partner.
+        assert calls == [
+            (
+                sum(1 for m in pool if partner_of_1(m) <= p),
+                sum(1 for key in reference if key[0][1] <= p),
+            )
+            for p in range(2, pts + 1)
+        ]
+
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceededError):
             orbit_census(6, budget=10394)
         assert orbit_census(6, budget=10395).orbit_count == 1799
+
+    def test_class_n_budget_charges_the_full_stream(self, monkeypatch):
+        def no_shards(*args):
+            raise AssertionError("a shard was generated")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(census_mod, "_shard_matchings", no_shards)
+            with pytest.raises(BudgetExceededError):
+                orbit_census(6, DiagramClass.N, budget=10394)
+        assert orbit_census(6, DiagramClass.N, budget=10395).orbit_count == 1663
 
     def test_budget_env_override(self, monkeypatch):
         monkeypatch.setenv("CHORD_CENSUS_BUDGET", "100")
@@ -527,5 +591,5 @@ class TestEnginePasses:
 
         monkeypatch.setattr(census_mod, "_shard_first_partners", counted)
         assert main(["verify", "--to", "4"]) == 0
-        classes = (DiagramClass.ALL, DiagramClass.O, DiagramClass.N)
+        classes = (DiagramClass.ALL, DiagramClass.O)
         assert passes == [(n, cls) for n in range(2, 5) for cls in classes]

@@ -104,6 +104,21 @@ class TestParsing:
         with pytest.raises(GluingParseError):
             Gluing.from_json({"n": 3, "chords": [[1, 2]]})
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"chords": [[1.7, 2.2]]},
+            {"chords": [[True, 2]]},
+            '{"chords": [[1, "2"]]}',
+            {"chords": [[1, "a"]]},
+            {"chords": [[None, 2]]},
+        ],
+        ids=["float", "bool", "string", "letter", "none"],
+    )
+    def test_json_non_integer_points_rejected(self, obj):
+        with pytest.raises(GluingParseError):
+            Gluing.from_json(obj)
+
     @pytest.mark.parametrize("obj", [{"chords": []}, {"n": 0, "chords": []}, '{"chords": []}'])
     def test_json_without_chords_rejected(self, obj):
         with pytest.raises(InvalidGluingError):
