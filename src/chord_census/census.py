@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -55,8 +54,8 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .counting import double_factorial
-from .diagram import DiagramClass, Gluing, _trusted_gluing, classify
+from .counting import total_gluings, total_o_gluings
+from .diagram import DiagramClass, Gluing, _shift, _trusted_gluing, classify
 from .errors import BudgetExceededError, InvalidArgumentError
 
 __all__ = [
@@ -316,7 +315,7 @@ def _resolve_budget(budget: Optional[int]) -> int:
 
 def _charge_budget(n: int, cls: DiagramClass, budget: Optional[int]) -> None:
     limit = _resolve_budget(budget)
-    work = math.factorial(n) if cls is DiagramClass.O else double_factorial(2 * n - 1)
+    work = total_o_gluings(n) if cls is DiagramClass.O else total_gluings(n)
     if work > limit:
         raise BudgetExceededError(
             f"{work} gluings exceed the budget of {limit}; raise budget or "
@@ -458,6 +457,7 @@ def count_fixed(
     preserving ones); k = 2n is the identity and fixes the whole class.
     The count is read from the ``fixed_counts`` of one ``orbit_census``.
     """
+    k = _shift(k)
     if k % 2 != 0 or not 1 <= k <= 2 * n:
         raise InvalidArgumentError(f"shift must be even and within 1..{2 * n}, got {k}")
     census = orbit_census(

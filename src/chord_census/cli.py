@@ -207,7 +207,7 @@ def _cmd_orbits(args) -> int:
     census = orbit_census(
         args.n,
         args.diagram_class,
-        keep_orbits=True if args.orbit_reps else None,
+        keep_orbits=args.orbit_reps,
         full_rotation_group=args.full_group,
         budget=args.budget,
         workers=args.workers,
@@ -221,7 +221,7 @@ def _cmd_orbits(args) -> int:
             "total_gluings": census.total_gluings,
             "orbit_count": census.orbit_count,
         }
-        if args.orbit_reps and census.orbits is not None:
+        if args.orbit_reps:
             record["orbits"] = [
                 {
                     "representative": o.representative.text(),
@@ -237,7 +237,7 @@ def _cmd_orbits(args) -> int:
             f"group_order={census.group_order} total_gluings={census.total_gluings} "
             f"orbit_count={census.orbit_count}"
         )
-        if args.orbit_reps and census.orbits is not None:
+        if args.orbit_reps:
             for o in census.orbits:
                 print(
                     f"{o.representative.text()} size={o.size} "

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -138,6 +139,11 @@ class Gluing(NamedTuple):
 _trusted_gluing = functools.partial(tuple.__new__, Gluing)
 
 
+def _sorted_gluing(pairs: Iterable[tuple[int, int]]) -> Gluing:
+    """Normal form of pairs already known to partition ``{1..2n}``."""
+    return _trusted_gluing((tuple(sorted((a, b) if a < b else (b, a) for a, b in pairs)),))
+
+
 @dataclass(frozen=True)
 class ColorDiagram:
     """A gluing read against the fixed pattern coloring.
@@ -174,11 +180,15 @@ def normalize(pairs: Iterable[tuple[int, int]]) -> Gluing:
     """Return the unique normal-form gluing for a set of point pairs.
 
     The pairs must partition ``{1..2n}`` where n >= 1 is the number of
-    pairs.  Raises :class:`InvalidGluingError` for no pairs, and
-    :class:`SelfPairError`, :class:`DuplicateIndexError` or
-    :class:`MissingIndexError` otherwise.  Idempotent on normal input.
+    pairs.  Raises :class:`InvalidGluingError` for no pairs or points that
+    are not integers, and :class:`SelfPairError`,
+    :class:`DuplicateIndexError` or :class:`MissingIndexError` otherwise.
+    Idempotent on normal input.
     """
-    pair_list = [(int(a), int(b)) for a, b in pairs]
+    try:
+        pair_list = [(operator.index(a), operator.index(b)) for a, b in pairs]
+    except TypeError:
+        raise InvalidGluingError("a gluing needs pairs of integer points") from None
     n = len(pair_list)
     if n == 0:
         raise InvalidGluingError("a gluing needs at least one pair")
@@ -203,8 +213,7 @@ def normalize(pairs: Iterable[tuple[int, int]]) -> Gluing:
         raise MissingIndexError(
             f"pairs do not partition 1..{pts} ({'; '.join(detail)})"
         )
-    chords = sorted((a, b) if a < b else (b, a) for a, b in pair_list)
-    return _trusted_gluing((tuple(chords),))
+    return _sorted_gluing(pair_list)
 
 
 def classify(d: DiagramLike) -> DiagramClass:
@@ -219,22 +228,25 @@ def classify(d: DiagramLike) -> DiagramClass:
     return DiagramClass.N
 
 
+def _shift(k) -> int:
+    """A rotation shift as a Python int; floats and strings are refused."""
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise InvalidArgumentError(f"rotation shift must be an integer, got {k!r}") from None
+
+
 def rotate(g: Gluing, k: int) -> Gluing:
     """Rotate a gluing by k steps: every index d goes to ``d+k mod 2n``.
 
-    The residue 0 is written as 2n.  Requires ``1 <= k <= 2n``;
+    The residue 0 is written as 2n.  Requires an integer ``1 <= k <= 2n``;
     ``rotate(g, 2n)`` is the identity.
     """
     pts = g.points
+    k = _shift(k)
     if not 1 <= k <= pts:
         raise InvalidArgumentError(f"rotation shift must be in 1..{pts}, got {k}")
-    chords = []
-    for a, b in g.chords:
-        a2 = (a + k - 1) % pts + 1
-        b2 = (b + k - 1) % pts + 1
-        chords.append((a2, b2) if a2 < b2 else (b2, a2))
-    chords.sort()
-    return _trusted_gluing((tuple(chords),))
+    return _sorted_gluing(((a + k - 1) % pts + 1, (b + k - 1) % pts + 1) for a, b in g.chords)
 
 
 def canonical_form(d: DiagramLike) -> Gluing:

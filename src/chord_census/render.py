@@ -23,11 +23,11 @@ _LABEL_RADIUS = 196
 _FRAME_CACHE_ORDERS = 64  # point counts whose frame render_svg keeps
 
 
-def _point(i: int, pts: int) -> tuple[float, float]:
-    """Screen position of point i: clockwise from 12 o'clock."""
+def _point(i: int, pts: int, radius: float = _RADIUS) -> tuple[float, float]:
+    """Screen position of point i at ``radius``: clockwise from 12 o'clock."""
     angle = 2.0 * math.pi * (i - 1) / pts
     c = _SIZE / 2.0
-    return (c + _RADIUS * math.sin(angle), c - _RADIUS * math.cos(angle))
+    return (c + radius * math.sin(angle), c - radius * math.cos(angle))
 
 
 def _fmt(x: float) -> str:
@@ -62,12 +62,9 @@ def _frame(pts: int) -> tuple[str, tuple[tuple[str, str], ...], str]:
     for i in range(1, pts + 1):
         x, y = xy[i - 1]
         tail.append(f'<circle cx="{x}" cy="{y}" r="4" fill="#bb3333"/>')
-        angle = 2.0 * math.pi * (i - 1) / pts
-        c = _SIZE / 2.0
-        lx = c + _LABEL_RADIUS * math.sin(angle)
-        ly = c - _LABEL_RADIUS * math.cos(angle)
+        lx, ly = map(_fmt, _point(i, pts, _LABEL_RADIUS))
         tail.append(
-            f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-family="monospace" '
+            f'<text x="{lx}" y="{ly}" font-family="monospace" '
             f'font-size="14" text-anchor="middle" dominant-baseline="middle">'
             f"{i}</text>"
         )

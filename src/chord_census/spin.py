@@ -17,6 +17,10 @@ circle points (a rotation is chosen so the first sector is black, matching
 the fixed pattern), and the loops as the chords.  Both directions compose
 to the identity on diagrams; on spin graphs the round trip returns an
 isomorphic relabeling.
+
+Spin graphs are thus another encoding of color diagrams, and spin graph
+isomorphism is diagram isomorphism: :func:`spin_graph_isomorphic` compares
+the canonical forms of the two diagrams.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
-from .diagram import ColorDiagram, DiagramLike, _gluing_of, normalize
+from .diagram import ColorDiagram, DiagramLike, _gluing_of, _sorted_gluing, isomorphic
 from .errors import InvalidSpinError
 
 __all__ = [
@@ -70,7 +74,11 @@ class SpinGraph:
             raise InvalidSpinError("cyclic order repeats a half-edge")
 
         loop_ends = [x for pair in self.loops for x in pair]
-        if len(self.loops) != m // 2 or len(loop_ends) != m or set(loop_ends) != labels:
+        if (
+            len(self.loops) != m // 2
+            or any(len(pair) != 2 for pair in self.loops)
+            or set(loop_ends) != labels
+        ):
             raise InvalidSpinError("loops must pair up all half-edges exactly once")
 
         colors = [("black", self.black_partner), ("white", self.white_partner)]
@@ -125,48 +133,28 @@ def spin_graph_to_diagram(s: SpinGraph) -> ColorDiagram:
 
     The cyclic order is rotated so the first sector is black, half-edges are
     renumbered 1..2n in that order, and loops become chords.  Raises
-    :class:`InvalidSpinError` on malformed input.
+    :class:`InvalidSpinError` on malformed input; once validation has shown
+    that the loops pair the 2n half-edges exactly once, the chords need only
+    sorting into normal form.
     """
     s.validate()
     order = s.cyclic_order
     if not s.sector_colors_start_black():
         order = order[1:] + order[:1]
     index = {label: i + 1 for i, label in enumerate(order)}
-    chords = [(index[a], index[b]) for a, b in s.loops]
-    return ColorDiagram(normalize(chords))
+    return ColorDiagram(_sorted_gluing((index[a], index[b]) for a, b in s.loops))
 
 
 def spin_graph_isomorphic(s1: SpinGraph, s2: SpinGraph) -> bool:
-    """Orientation-preserving isomorphism test.
+    """Orientation-preserving isomorphism test: is there a rotation of the
+    cyclic order that sends loops to loops and keeps both spin colors?
 
-    Tries every rotation of the cyclic order; the induced relabeling must
-    send loops to loops and preserve both spin colors.  Color preservation
-    automatically restricts to rotations aligning sector colors.
-
-    Loops are checked on positions in the cyclic orders, so a rotation is
-    rejected at the first loop of s1 whose image is not a loop of s2; the
-    relabeling is built only for rotations that pass.
+    Once :meth:`SpinGraph.validate` passes, the spin is fixed by the cyclic
+    order and the color of the first sector, so a rotation keeps both spin
+    colors exactly when it keeps sector colors.  :func:`spin_graph_to_diagram`
+    starts each order on a black sector, so those rotations are the even
+    ones and the test is :func:`isomorphic` on the two diagrams.  Graphs of
+    different sizes are not isomorphic.
     """
-    s1.validate()
-    s2.validate()
-    m = len(s1.cyclic_order)
-    if m != len(s2.cyclic_order):
-        return False
-    o1, o2 = s1.cyclic_order, s2.cyclic_order
-    pos1 = {label: t for t, label in enumerate(o1)}
-    pos2 = {label: t for t, label in enumerate(o2)}
-    mate2 = [0] * m
-    for a, b in s2.loops:
-        mate2[pos2[a]], mate2[pos2[b]] = pos2[b], pos2[a]
-    loops1 = [(pos1[a], pos1[b]) for a, b in s1.loops]
-    for r in range(m):
-        if any(mate2[(a + r) % m] != (b + r) % m for a, b in loops1):
-            continue
-        phi = {o1[t]: o2[(t + r) % m] for t in range(m)}
-        if all(
-            phi[s1.black_partner[h]] == s2.black_partner[phi[h]]
-            and phi[s1.white_partner[h]] == s2.white_partner[phi[h]]
-            for h in o1
-        ):
-            return True
-    return False
+    d1, d2 = spin_graph_to_diagram(s1), spin_graph_to_diagram(s2)
+    return d1.n == d2.n and isomorphic(d1, d2)

@@ -132,6 +132,32 @@ def boundary_components(chords, n: int) -> list[tuple[frozenset, tuple]]:
     return out
 
 
+def spin_isomorphic(s1, s2) -> bool:
+    """Spin graph isomorphism by definition: some rotation of the cyclic
+    order, read as a relabelling of half-edges, sends the loops of s1 onto
+    those of s2 and carries both partner maps of s1 onto those of s2.
+
+    Spin graphs are read by attribute (``cyclic_order``, ``loops``,
+    ``black_partner``, ``white_partner``) and are not validated.
+    """
+    o1, o2 = s1.cyclic_order, s2.cyclic_order
+    m = len(o1)
+    if m != len(o2):
+        return False
+    loops2 = {frozenset(pair) for pair in s2.loops}
+    for r in range(m):
+        phi = dict(zip(o1, o2[r:] + o2[:r]))
+        if any(frozenset(phi[x] for x in pair) not in loops2 for pair in s1.loops):
+            continue
+        if all(
+            phi[s1.black_partner[h]] == s2.black_partner[phi[h]]
+            and phi[s1.white_partner[h]] == s2.white_partner[phi[h]]
+            for h in o1
+        ):
+            return True
+    return False
+
+
 def arc_is_black(arc_id: int) -> bool:
     return arc_id % 2 == 1
 

@@ -16,6 +16,7 @@ from chord_census import (
     BudgetExceededError,
     DiagramClass,
     Gluing,
+    InvalidArgumentError,
     burnside_check,
     classify,
     count_fixed,
@@ -549,6 +550,16 @@ class TestCountFixed:
     def test_odd_shift_rejected(self):
         with pytest.raises(ValueError):
             count_fixed(3, 3)
+
+    @pytest.mark.parametrize("k", [2.0, "2"])
+    def test_non_integer_shift_rejected(self, k):
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            count_fixed(3, k)
+
+    def test_numpy_integer_shift_accepted(self):
+        fixed = count_fixed(3, np.int64(2), DiagramClass.O)
+        assert type(fixed.shift) is int
+        assert (fixed.shift, fixed.count) == (2, 3)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

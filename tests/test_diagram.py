@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from chord_census import (
     DuplicateIndexError,
     Gluing,
     GluingParseError,
+    InvalidArgumentError,
     InvalidGluingError,
     MissingIndexError,
     SelfPairError,
@@ -75,6 +77,20 @@ class TestNormalize:
     def test_no_pairs_rejected(self):
         with pytest.raises(InvalidGluingError):
             normalize([])
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [[(1.7, 2.2)], [(1.0, 2.0)], [("1", "2")], [(1, 4), (2, "3")], [(None, 2)]],
+        ids=["fractions", "whole floats", "strings", "one string", "none"],
+    )
+    def test_non_integer_points_rejected(self, pairs):
+        with pytest.raises(InvalidGluingError, match="integer"):
+            normalize(pairs)
+
+    def test_numpy_integer_points_accepted(self):
+        g = normalize([(np.int64(4), np.int8(1)), (np.uint16(2), 3)])
+        assert g.chords == ((1, 4), (2, 3))
+        assert all(type(x) is int for x in g.flattened())
 
     @given(gluings())
     def test_normalize_injective_on_matchings(self, g):
@@ -170,6 +186,17 @@ class TestRotate:
             rotate(chords_of("(1,2)"), 0)
         with pytest.raises(ValueError):
             rotate(chords_of("(1,2)"), 3)
+
+    @pytest.mark.parametrize("k", [2.0, 1.5, "2", None])
+    def test_non_integer_shift_rejected(self, k):
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            rotate(chords_of("(1,3)(2,4)"), k)
+
+    def test_numpy_integer_shift_accepted(self):
+        g = chords_of("(1,2)(3,6)(4,5)")
+        rotated = rotate(g, np.int64(2))
+        assert rotated == rotate(g, 2)
+        assert all(type(x) is int for x in rotated.flattened())
 
     @given(gluings(), st.data())
     def test_matches_index_map_oracle(self, g, data):

@@ -21,7 +21,7 @@ from chord_census import (
 )
 from chord_census.spin import SpinGraph
 
-from oracles import all_matchings
+from oracles import all_matchings, spin_isomorphic
 
 
 def diagrams(n):
@@ -40,6 +40,25 @@ def relabel(s: SpinGraph, mapping) -> SpinGraph:
 def rotate_labels(s: SpinGraph, r: int) -> SpinGraph:
     order = s.cyclic_order[r:] + s.cyclic_order[:r]
     return SpinGraph(order, s.loops, s.black_partner, s.white_partner)
+
+
+def step_labels(s: SpinGraph) -> SpinGraph:
+    """Move every loop end and the cyclic order one half-edge on while the
+    spin stays put (labels 1..2n): black sectors turn white, and the spin
+    graph of g becomes that of ``rotate(g, 1)``."""
+    step = {h: h % len(s.cyclic_order) + 1 for h in s.cyclic_order}
+    return SpinGraph(
+        tuple(step[h] for h in s.cyclic_order),
+        tuple((step[a], step[b]) for a, b in s.loops),
+        s.black_partner,
+        s.white_partner,
+    )
+
+
+def label_variants(d, rotations) -> list[SpinGraph]:
+    """The spin graph of d under the given label rotations, then stepped."""
+    s = diagram_to_spin_graph(d)
+    return [rotate_labels(s, r) for r in rotations] + [step_labels(s)]
 
 
 class TestRoundTrip:
@@ -93,6 +112,19 @@ class TestValidation:
         with pytest.raises(InvalidSpinError):
             SpinGraph(s.cyclic_order, ((1, 2), (1, 2)), s.black_partner,
                       s.white_partner).validate()
+
+    @pytest.mark.parametrize(
+        "loops", [((1, 2, 3), (4,)), ((1,), (2, 3, 4)), ((1, 3), (2, 4), ())]
+    )
+    def test_loops_must_be_pairs(self, loops):
+        s = diagram_to_spin_graph(ColorDiagram.parse("(1,3)(2,4)"))
+        bad = SpinGraph(s.cyclic_order, loops, s.black_partner, s.white_partner)
+        with pytest.raises(InvalidSpinError, match="loops"):
+            bad.validate()
+        with pytest.raises(InvalidSpinError):
+            spin_graph_to_diagram(bad)
+        with pytest.raises(InvalidSpinError):
+            spin_graph_isomorphic(s, bad)
 
     def test_alternating_run_must_be_hamiltonian(self):
         # two separate alternating squares instead of one run of length 8
@@ -155,8 +187,32 @@ class TestIsomorphism:
         s2 = diagram_to_spin_graph(ColorDiagram.parse("(1,4)(2,3)"))
         assert not spin_graph_isomorphic(s1, s2)
 
+    @pytest.mark.parametrize(
+        "sizes, rotations",
+        [((1, 2, 3), None), ((4,), (0, 3))],
+        ids=["n1-3", "n4"],
+    )
+    def test_matches_reference(self, sizes, rotations):
+        # n <= 3: every label rotation, sizes mixed; n = 4: first sector
+        # black, first sector white, and stepped; all ordered pairs
+        graphs = [
+            v
+            for n in sizes
+            for d in diagrams(n)
+            for v in label_variants(d, rotations or range(2 * n))
+        ]
+        seen = set()
+        for s1 in graphs:
+            for s2 in graphs:
+                expected = spin_isomorphic(s1, s2)
+                assert spin_graph_isomorphic(s1, s2) is expected, (s1, s2)
+                seen.add(expected)
+        assert seen == {False, True}
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_diagram_isomorphism(self, n):
+        # spin_graph_isomorphic is isomorphic through the codec, so this
+        # checks the codec; test_matches_reference checks the algorithm
         ds = diagrams(n)
         for d1 in ds:
             for d2 in ds:
@@ -194,13 +250,7 @@ class TestIsomorphism:
         # spin graph of rotate(g, 1), isomorphic only when the diagrams are
         g = Gluing.parse(text)
         s = diagram_to_spin_graph(g)
-        step = {h: h % (2 * g.n) + 1 for h in s.cyclic_order}
-        t = SpinGraph(
-            tuple(step[h] for h in s.cyclic_order),
-            tuple((step[a], step[b]) for a, b in s.loops),
-            s.black_partner,
-            s.white_partner,
-        )
+        t = step_labels(s)
         assert not t.sector_colors_start_black()
         assert isomorphic(g, rotate(g, 1)) is expected
         assert spin_graph_isomorphic(s, t) is expected
