@@ -55,8 +55,8 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .counting import total_gluings, total_o_gluings
-from .diagram import DiagramClass, Gluing, _shift, _trusted_gluing, classify
-from .errors import BudgetExceededError, InvalidArgumentError
+from .diagram import DiagramClass, Gluing, _trusted_gluing, classify
+from .errors import BudgetExceededError, InvalidArgumentError, _integer
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -132,8 +132,7 @@ def enumerate_gluings(n: int) -> Iterator[Gluing]:
     the completions of every free set of at most six points reached, about
     1 MB for n <= 10.
     """
-    if n < 1:
-        raise InvalidArgumentError(f"diagram order must be >= 1, got {n}")
+    n = _integer(n, "diagram order", 1)
     return map(_trusted_gluing, zip(_matchings(n, o_only=False)))
 
 
@@ -143,8 +142,7 @@ def enumerate_o_gluings(n: int) -> Iterator[Gluing]:
     Every chord joins an odd point to an even point; the stream equals
     ``enumerate_gluings(n)`` filtered to class O, with the same memory bound.
     """
-    if n < 1:
-        raise InvalidArgumentError(f"diagram order must be >= 1, got {n}")
+    n = _integer(n, "diagram order", 1)
     return map(_trusted_gluing, zip(_matchings(n, o_only=True)))
 
 
@@ -308,9 +306,7 @@ def _resolve_budget(budget: Optional[int]) -> int:
             raise InvalidArgumentError(
                 f"{BUDGET_ENV_VAR} must be an integer, got {env!r}"
             ) from None
-    if budget < 1:
-        raise InvalidArgumentError(f"budget must be >= 1, got {budget}")
-    return budget
+    return _integer(budget, "budget", 1)
 
 
 def _charge_budget(n: int, cls: DiagramClass, budget: Optional[int]) -> None:
@@ -356,10 +352,8 @@ def orbit_census(
     setting.  Class N is a class-all census less a class-O one; ``progress``
     gets its numbers after each class-all shard.
     """
-    if n < 1:
-        raise InvalidArgumentError(f"diagram order must be >= 1, got {n}")
-    if workers < 1:
-        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
+    n = _integer(n, "diagram order", 1)
+    workers = _integer(workers, "workers", 1)
     if n > _MAX_ENGINE_ORDER:
         raise InvalidArgumentError(
             f"the int8 census engine needs n <= {_MAX_ENGINE_ORDER}, got {n}"
@@ -457,7 +451,7 @@ def count_fixed(
     preserving ones); k = 2n is the identity and fixes the whole class.
     The count is read from the ``fixed_counts`` of one ``orbit_census``.
     """
-    k = _shift(k)
+    n, k = _integer(n, "diagram order", 1), _integer(k, "rotation shift")
     if k % 2 != 0 or not 1 <= k <= 2 * n:
         raise InvalidArgumentError(f"shift must be even and within 1..{2 * n}, got {k}")
     census = orbit_census(

@@ -34,6 +34,7 @@ from .errors import (
     InvalidArgumentError,
     NonDivisorError,
     NotPrimeError,
+    _integer,
 )
 
 __all__ = [
@@ -58,6 +59,7 @@ __all__ = [
 
 def double_factorial(m: int) -> int:
     """m!! for odd m >= -1, with the empty-product convention (-1)!! = 1."""
+    m = _integer(m, "double factorial argument")
     if m < -1 or m % 2 == 0:
         raise EvenInputError(f"double factorial needs an odd m >= -1, got {m}")
     out = 1
@@ -69,8 +71,7 @@ def double_factorial(m: int) -> int:
 
 def euler_phi(q: int) -> int:
     """Euler's totient by trial-division factorization; phi(1) = 1."""
-    if q < 1:
-        raise InvalidArgumentError(f"totient needs q >= 1, got {q}")
+    q = _integer(q, "totient argument", 1)
     out = q
     p = 2
     while p * p <= q:
@@ -90,25 +91,20 @@ def _is_odd_prime(p: int) -> bool:
 
 def total_gluings(n: int) -> int:
     """|B_2n| = (2n-1)!! = (2n)! / (2^n n!)."""
-    _check_order(n)
+    n = _integer(n, "diagram order", 1)
     return double_factorial(2 * n - 1)
 
 
 def total_o_gluings(n: int) -> int:
     """Number of O-gluings: n! (odd points matched to a permutation of evens)."""
-    _check_order(n)
+    n = _integer(n, "diagram order", 1)
     return math.factorial(n)
-
-
-def _check_order(n: int) -> None:
-    if n < 1:
-        raise InvalidArgumentError(f"diagram order must be >= 1, got {n}")
 
 
 def colored_fixed(n: int, m: int) -> int:
     """Color diagrams fixed by the even rotation 2m, for m dividing n: the
     uncolored count ``uncolored_fixed(n, 2m)``, the same formula at k = 2m."""
-    _check_order(n)
+    n, m = _integer(n, "diagram order", 1), _integer(m, "divisor m")
     if m < 1 or n % m != 0:
         raise NonDivisorError(f"need m | n, got m={m}, n={n}")
     return uncolored_fixed(n, 2 * m)
@@ -120,7 +116,7 @@ def uncolored_fixed(n: int, k: int) -> int:
     Equals ``(k-1)!! * (2n/k)**(k/2)`` when 2n/k is odd (k is then even),
     otherwise ``sum_r C(k, 2r) * (2r-1)!! * (2n/k)**r`` for r = 0..k//2.
     """
-    _check_order(n)
+    n, k = _integer(n, "diagram order", 1), _integer(k, "rotation k")
     if k < 1 or (2 * n) % k != 0:
         raise NonDivisorError(f"need k | 2n, got k={k}, n={n}")
     q = 2 * n // k
@@ -136,7 +132,7 @@ def uncolored_fixed(n: int, k: int) -> int:
 
 def o_fixed(n: int, i: int) -> int:
     """O-gluings fixed by the even rotation 2i, for i dividing n: i!*(n/i)**i."""
-    _check_order(n)
+    n, i = _integer(n, "diagram order", 1), _integer(i, "divisor i")
     if i < 1 or n % i != 0:
         raise NonDivisorError(f"need i | n, got i={i}, n={n}")
     return math.factorial(i) * (n // i) ** i
@@ -157,7 +153,7 @@ def colored_classes(n: int) -> int:
 
     ``n = 1`` gives 1 (the formula already does; no special case needed).
     """
-    _check_order(n)
+    n = _integer(n, "diagram order", 1)
     acc = sum(euler_phi(n // m) * colored_fixed(n, m) for m in _divisors(n))
     return _burnside(acc, n, f"colored_classes({n})")
 
@@ -172,7 +168,7 @@ def colored_classes_prime(p: int) -> int:
 def o_classes(n: int) -> int:
     """Non-isomorphic O-diagrams; also the number of topologically distinct
     one-critical-point functions on oriented bordered surfaces of this size."""
-    _check_order(n)
+    n = _integer(n, "diagram order", 1)
     acc = sum(euler_phi(n // i) * o_fixed(n, i) for i in _divisors(n))
     return _burnside(acc, n, f"o_classes({n})")
 
@@ -191,7 +187,7 @@ def n_classes(n: int) -> int:
 
 def uncolored_classes(n: int) -> int:
     """Non-isomorphic uncolored diagrams under the full rotation group."""
-    _check_order(n)
+    n = _integer(n, "diagram order", 1)
     acc = sum(euler_phi(2 * n // k) * uncolored_fixed(n, k) for k in _divisors(2 * n))
     return _burnside(acc, 2 * n, f"uncolored_classes({n})")
 
@@ -247,6 +243,7 @@ class CountTable:
 def build_table(n_min: int, n_max: int) -> CountTable:
     """All counts for n in [n_min, n_max], with the N column rederived as a
     consistency check (d_n = d_double_star - d_o identically)."""
+    n_min, n_max = _integer(n_min, "n_min"), _integer(n_max, "n_max")
     if n_min < 1 or n_min > n_max:
         raise InvalidArgumentError(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
     rows = []

@@ -36,6 +36,7 @@ from .errors import (
     MissingIndexError,
     SelfPairError,
     SizeMismatchError,
+    _integer,
 )
 
 __all__ = [
@@ -180,14 +181,15 @@ def normalize(pairs: Iterable[tuple[int, int]]) -> Gluing:
     """Return the unique normal-form gluing for a set of point pairs.
 
     The pairs must partition ``{1..2n}`` where n >= 1 is the number of
-    pairs.  Raises :class:`InvalidGluingError` for no pairs or points that
-    are not integers, and :class:`SelfPairError`,
-    :class:`DuplicateIndexError` or :class:`MissingIndexError` otherwise.
+    pairs.  Raises :class:`InvalidGluingError` for no pairs, a pair of
+    other than two points or points that are not integers, and
+    :class:`SelfPairError`, :class:`DuplicateIndexError` or
+    :class:`MissingIndexError` otherwise.
     Idempotent on normal input.
     """
     try:
         pair_list = [(operator.index(a), operator.index(b)) for a, b in pairs]
-    except TypeError:
+    except (TypeError, ValueError):  # a point not an integer, a pair not of two
         raise InvalidGluingError("a gluing needs pairs of integer points") from None
     n = len(pair_list)
     if n == 0:
@@ -228,14 +230,6 @@ def classify(d: DiagramLike) -> DiagramClass:
     return DiagramClass.N
 
 
-def _shift(k) -> int:
-    """A rotation shift as a Python int; floats and strings are refused."""
-    try:
-        return operator.index(k)
-    except TypeError:
-        raise InvalidArgumentError(f"rotation shift must be an integer, got {k!r}") from None
-
-
 def rotate(g: Gluing, k: int) -> Gluing:
     """Rotate a gluing by k steps: every index d goes to ``d+k mod 2n``.
 
@@ -243,18 +237,14 @@ def rotate(g: Gluing, k: int) -> Gluing:
     ``rotate(g, 2n)`` is the identity.
     """
     pts = g.points
-    k = _shift(k)
+    k = _integer(k, "rotation shift")
     if not 1 <= k <= pts:
         raise InvalidArgumentError(f"rotation shift must be in 1..{pts}, got {k}")
     return _sorted_gluing(((a + k - 1) % pts + 1, (b + k - 1) % pts + 1) for a, b in g.chords)
 
 
-def canonical_form(d: DiagramLike) -> Gluing:
-    """Orbit representative under even rotations.
-
-    Returns the lexicographically least gluing (flattened-sequence order)
-    among ``rotate(g, 2m)`` for ``m = 1..n``.  Two diagrams are isomorphic
-    exactly when their canonical forms coincide.
+def _least_rotation(g: Gluing) -> list[int]:
+    """The least 0-based partner array among the even rotations of ``g``.
 
     The orbit is searched on the 0-based partner array ``p`` (``p[i]`` is
     the partner of point ``i + 1``, less one), never on rotated gluings.
@@ -267,18 +257,28 @@ def canonical_form(d: DiagramLike) -> Gluing:
     orbit minimum is among the rotations whose odd-point span is least.
     The n spans cost O(n); only the tied candidates, one unless the
     stabilizer or the chord pattern makes spans repeat, are built in full
-    (O(n) each) and compared, and only the winner becomes a ``Gluing``.
+    (O(n) each) and compared.
     """
-    g = _gluing_of(d)
     pts = g.points
     p = [x - 1 for x in g.partner_map()[1:]]
     spans = [(p[e] - e) % pts for e in range(0, pts, 2)]
     least = min(spans)
-    best = min(
+    return min(
         [(x - e) % pts for x in p[e:] + p[:e]]
         for e, span in zip(range(0, pts, 2), spans)
         if span == least
     )
+
+
+def canonical_form(d: DiagramLike) -> Gluing:
+    """Orbit representative under even rotations.
+
+    Returns the lexicographically least gluing (flattened-sequence order)
+    among ``rotate(g, 2m)`` for ``m = 1..n``.  Two diagrams are isomorphic
+    exactly when their canonical forms coincide.  Only the least partner
+    array found by :func:`_least_rotation` becomes a ``Gluing``.
+    """
+    best = _least_rotation(_gluing_of(d))
     chords = tuple((i + 1, x + 1) for i, x in enumerate(best) if x > i)
     return _trusted_gluing((chords,))
 
@@ -288,7 +288,7 @@ def isomorphic(d1: DiagramLike, d2: DiagramLike) -> bool:
     g1, g2 = _gluing_of(d1), _gluing_of(d2)
     if g1.n != g2.n:
         raise SizeMismatchError(f"cannot compare n={g1.n} with n={g2.n}")
-    return canonical_form(g1) == canonical_form(g2)
+    return _least_rotation(g1) == _least_rotation(g2)
 
 
 def recolor_shift(d: DiagramLike) -> DiagramLike:

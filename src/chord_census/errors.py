@@ -5,9 +5,33 @@ whole family with one clause.  Input-validation errors additionally derive
 from :class:`ValueError`; the two arithmetic sentinels derive from
 :class:`ArithmeticError` because they flag implementation bugs rather than
 bad inputs.
+
+Every other module imports this one, so it also holds ``_integer``, the one
+reader of integer arguments.
 """
 
 from __future__ import annotations
+
+import operator
+from typing import Optional
+
+__all__ = [
+    "ChordCensusError",
+    "InvalidGluingError",
+    "InvalidArgumentError",
+    "DuplicateIndexError",
+    "MissingIndexError",
+    "SelfPairError",
+    "GluingParseError",
+    "SizeMismatchError",
+    "InvalidSpinError",
+    "EvenInputError",
+    "NonDivisorError",
+    "NotPrimeError",
+    "DivisibilityError",
+    "InconsistentTopologyError",
+    "BudgetExceededError",
+]
 
 
 class ChordCensusError(Exception):
@@ -39,7 +63,8 @@ class SizeMismatchError(ChordCensusError, ValueError):
 
 
 class InvalidArgumentError(ChordCensusError, ValueError):
-    """An argument is out of range: an order, shift, worker count or budget."""
+    """An argument is not an integer or is out of range: an order, divisor,
+    shift, worker count or budget."""
 
 
 class InvalidSpinError(ChordCensusError, ValueError):
@@ -72,3 +97,19 @@ class InconsistentTopologyError(ChordCensusError, ArithmeticError):
 
 class BudgetExceededError(ChordCensusError, RuntimeError):
     """A brute-force run would enumerate more gluings than the work budget."""
+
+
+def _integer(value, what: str, least: Optional[int] = None) -> int:
+    """``value`` as a Python int, at least ``least`` when one is given.
+
+    Python and numpy integers pass through ``operator.index``; floats,
+    strings and values below the bound raise :class:`InvalidArgumentError`,
+    so every count computed from the result stays an exact integer.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise InvalidArgumentError(f"{what} must be >= {least}, got {value}")
+    return value

@@ -73,12 +73,12 @@ class SpinGraph:
         if len(labels) != m:
             raise InvalidSpinError("cyclic order repeats a half-edge")
 
-        loop_ends = [x for pair in self.loops for x in pair]
-        if (
-            len(self.loops) != m // 2
-            or any(len(pair) != 2 for pair in self.loops)
-            or set(loop_ends) != labels
-        ):
+        try:
+            loop_ends = [x for a, b in self.loops for x in (a, b)]
+            paired = len(loop_ends) == m and set(loop_ends) == labels
+        except (TypeError, ValueError):  # a loop that is not a pair of labels
+            paired = False
+        if not paired:
             raise InvalidSpinError("loops must pair up all half-edges exactly once")
 
         colors = [("black", self.black_partner), ("white", self.white_partner)]

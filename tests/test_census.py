@@ -604,3 +604,38 @@ class TestEnginePasses:
         assert main(["verify", "--to", "4"]) == 0
         classes = (DiagramClass.ALL, DiagramClass.O)
         assert passes == [(n, cls) for n in range(2, 5) for cls in classes]
+
+
+# every public census entry that takes an order, called at order n
+CENSUS_ORDER_ENTRIES = {
+    "enumerate_gluings": enumerate_gluings,
+    "enumerate_o_gluings": enumerate_o_gluings,
+    "orbit_census": orbit_census,
+    "count_fixed": lambda n: count_fixed(n, 2),
+    "burnside_check": burnside_check,
+}
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("value", [2.0, "2"], ids=["float", "string"])
+    @pytest.mark.parametrize(
+        "entry", CENSUS_ORDER_ENTRIES.values(), ids=CENSUS_ORDER_ENTRIES
+    )
+    def test_non_integer_order_rejected(self, entry, value):
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            entry(value)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(workers=2.0), dict(workers="2"), dict(budget=1e9)],
+        ids=["float workers", "string workers", "float budget"],
+    )
+    def test_non_integer_workers_or_budget_rejected(self, kwargs):
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            orbit_census(3, **kwargs)
+
+    def test_numpy_integers_accepted(self):
+        census = orbit_census(np.int64(3), workers=np.int64(1), budget=np.int64(100))
+        assert type(census.n) is int
+        assert census == orbit_census(3)
+        assert type(count_fixed(np.int64(3), 2, DiagramClass.O).n) is int

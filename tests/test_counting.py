@@ -5,11 +5,13 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from chord_census import (
     DivisibilityError,
     EvenInputError,
+    InvalidArgumentError,
     NonDivisorError,
     NotPrimeError,
     build_table,
@@ -263,3 +265,57 @@ class TestDivisibilityGuard:
 
         with pytest.raises(DivisibilityError):
             _burnside(7, 3, "synthetic")
+
+
+# every public counting entry that takes an order, called at order n
+ORDER_ENTRIES = {
+    "total_gluings": total_gluings,
+    "total_o_gluings": total_o_gluings,
+    "colored_fixed": lambda n: colored_fixed(n, 1),
+    "uncolored_fixed": lambda n: uncolored_fixed(n, 2),
+    "o_fixed": lambda n: o_fixed(n, 1),
+    "colored_classes": colored_classes,
+    "o_classes": o_classes,
+    "n_classes": n_classes,
+    "uncolored_classes": uncolored_classes,
+    "build_table n_min": lambda n: build_table(n, 3),
+    "build_table n_max": lambda n: build_table(1, n),
+}
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("value", [2.0, "2"], ids=["float", "string"])
+    @pytest.mark.parametrize("entry", ORDER_ENTRIES.values(), ids=ORDER_ENTRIES)
+    def test_non_integer_order_rejected(self, entry, value):
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            entry(value)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: colored_fixed(4, 2.0),
+            lambda: uncolored_fixed(3, 2.0),
+            lambda: o_fixed(40, 20.0),
+            lambda: double_factorial(41.0),
+            lambda: euler_phi(6.0),
+        ],
+        ids=["colored_fixed m", "uncolored_fixed k", "o_fixed i", "double_factorial", "euler_phi"],
+    )
+    def test_non_integer_secondary_argument_rejected(self, call):
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            call()
+
+    def test_whole_float_order_is_bad_input_not_a_broken_formula(self):
+        # DivisibilityError flags a bug; a float order is the caller's error
+        with pytest.raises(InvalidArgumentError):
+            colored_classes(25.0)
+
+    def test_numpy_integers_give_exact_python_ints(self):
+        # int64 arithmetic would overflow: 39!! > 2**64
+        assert total_gluings(np.int64(20)) == double_factorial(39) == total_gluings(20)
+        assert type(total_gluings(np.int64(20))) is int
+        assert colored_fixed(np.int64(20), np.int32(4)) == colored_fixed(20, 4)
+        assert type(colored_classes(np.int64(20))) is int
+        table = build_table(np.int64(2), np.int8(3))
+        assert table == build_table(2, 3)
+        assert all(type(row.n) is int for row in table.rows)

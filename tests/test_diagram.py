@@ -87,6 +87,15 @@ class TestNormalize:
         with pytest.raises(InvalidGluingError, match="integer"):
             normalize(pairs)
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [[(1, 2, 3)], [(1,)], [(1, 2), (3, 4, 5)]],
+        ids=["triple", "single", "triple after pair"],
+    )
+    def test_pairs_of_wrong_length_rejected(self, pairs):
+        with pytest.raises(InvalidGluingError):
+            normalize(pairs)
+
     def test_numpy_integer_points_accepted(self):
         g = normalize([(np.int64(4), np.int8(1)), (np.uint16(2), 3)])
         assert g.chords == ((1, 4), (2, 3))

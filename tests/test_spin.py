@@ -114,7 +114,8 @@ class TestValidation:
                       s.white_partner).validate()
 
     @pytest.mark.parametrize(
-        "loops", [((1, 2, 3), (4,)), ((1,), (2, 3, 4)), ((1, 3), (2, 4), ())]
+        "loops",
+        [((1, 2, 3), (4,)), ((1,), (2, 3, 4)), ((1, 3), (2, 4), ()), ((1, 3), 5)],
     )
     def test_loops_must_be_pairs(self, loops):
         s = diagram_to_spin_graph(ColorDiagram.parse("(1,3)(2,4)"))
