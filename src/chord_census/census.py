@@ -28,7 +28,11 @@ opens a new orbit exactly when it *is* the lexicographic minimum of its
 rotation orbit, so counting minima counts orbits.  Each shift compares a
 shard with its rotation point by point, keeping only the gluings equal so
 far; almost every gluing differs at point 0, so a shift costs about one
-pass over one point's row.  Gluings equal to the end are fixed by the
+pass over one point's row.  Once a shift has few gluings left, it stops
+stepping alone: the few left by every shift are finished together, as
+(gluing, shift) pairs compared at every point in one array operation, so
+the short tails cost a fixed number of numpy calls per shard rather than
+some per point and shift.  Gluings equal to the end are fixed by the
 shift, which gives the fixed-point counts and stabilizer orders.  Orbit
 representatives are collected on request.
 
@@ -75,6 +79,7 @@ DEFAULT_BUDGET = 40_000_000
 BUDGET_ENV_VAR = "CHORD_CENSUS_BUDGET"
 _MAX_ENGINE_ORDER = 32  # a partner plus a shift, up to 4n - 2, must fit in int8
 _TAIL_POINTS = 6  # memo size vs speed: 8 points is faster, but its memo is ~8x larger
+_MERGE_ROWS = 64  # survivors of one shift few enough to finish with the other shifts'
 
 ProgressFn = Callable[[int, int], None]  # (gluings processed, orbits found)
 
@@ -265,22 +270,44 @@ def _shard_task(args: tuple) -> tuple:
     rows = Mt.shape[1]
     not_min = np.zeros(rows, dtype=bool)
     stab = np.ones(rows, dtype=np.uint8)  # group order <= 2 * _MAX_ENGINE_ORDER = 64
-    fixed = []
-    for s in shifts:
-        # Point i of gluing r rotated by s has partner (Mt[i - s, r] + s) mod pts.
-        # Only gluings equal so far go on to the next point; point 0 is fp in all.
+    fixed = np.zeros(len(shifts), dtype=np.int64)
+    # Point i of gluing r rotated by s has partner (Mt[i - s, r] + s) mod pts.
+    # Each shift compares point by point, keeping only the gluings equal so
+    # far; point 0 is fp in all.  Once at most _MERGE_ROWS are left, they wait
+    # to be finished with those of every other shift as (row, shift) pairs.
+    rest_rows, rest_shift = [], []
+    for j, s in enumerate(shifts):
         rot = _rotated(Mt[-s], s, pts)
         not_min |= rot < fp
         alive = np.flatnonzero(rot == fp)
-        for i in range(1, pts):
-            if alive.size == 0:
-                break
+        i = 1
+        while alive.size > _MERGE_ROWS and i < pts:
             rot = _rotated(Mt[i - s][alive], s, pts)
             base = Mt[i][alive]
             not_min[alive[rot < base]] = True
             alive = alive[rot == base]
-        fixed.append(alive.size)
-        stab[alive] += 1
+            i += 1
+        if i == pts:
+            fixed[j] = alive.size
+            stab[alive] += 1
+        elif alive.size:
+            rest_rows.append(alive)
+            rest_shift.append(np.full(alive.size, j))
+    if rest_rows:
+        # Every point of every pair at once: the first point at which a pair
+        # differs decides it, and a pair that differs nowhere is fixed.
+        alive, j = np.concatenate(rest_rows), np.concatenate(rest_shift)
+        shift = np.array(shifts)[j]
+        rotate = (np.add.outer(np.arange(pts), np.arange(pts)) % pts).astype(np.int8)
+        rot = rotate[shift, Mt[np.arange(pts)[:, None] - shift, alive]]
+        base = Mt[:, alive]
+        at = (rot != base).argmax(axis=0), np.arange(alive.size)
+        rot, base = rot[at], base[at]
+        not_min[alive[rot < base]] = True
+        same = rot == base
+        fixed += np.bincount(j[same], minlength=len(shifts))
+        np.add.at(stab, alive[same], 1)
+    fixed = fixed.tolist()
 
     canon = ~not_min
     orbit_count = int(canon.sum())

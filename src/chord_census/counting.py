@@ -62,11 +62,7 @@ def double_factorial(m: int) -> int:
     m = _integer(m, "double factorial argument")
     if m < -1 or m % 2 == 0:
         raise EvenInputError(f"double factorial needs an odd m >= -1, got {m}")
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
+    return math.prod(range(m, 1, -2))
 
 
 def euler_phi(q: int) -> int:
@@ -123,10 +119,10 @@ def uncolored_fixed(n: int, k: int) -> int:
     if q % 2 == 1:
         return double_factorial(k - 1) * q ** (k // 2)
     total = 0
-    weight = 1  # (2r-1)!! * q**r as one running product
+    term = 1  # C(k, 2r) * (2r-1)!! * q**r; each term is the last times an exact ratio
     for r in range(k // 2 + 1):
-        total += math.comb(k, 2 * r) * weight
-        weight *= (2 * r + 1) * q
+        total += term
+        term = term * (k - 2 * r) * (k - 2 * r - 1) * q // (2 * r + 2)
     return total
 
 
@@ -147,6 +143,22 @@ def _burnside(total_with_weights: int, group_order: int, what: str) -> int:
     return total_with_weights // group_order
 
 
+def _fixed_by_divisor(n: int) -> dict[int, int]:
+    """``uncolored_fixed(n, k)`` for every k dividing 2n.  The entry at k = 2m
+    is ``colored_fixed(n, m)`` and the one at k = 2n is the class size."""
+    return {k: uncolored_fixed(n, k) for k in _divisors(2 * n)}
+
+
+def _colored_burnside(n: int, fixed: dict[int, int]) -> int:
+    acc = sum(euler_phi(n // m) * fixed[2 * m] for m in _divisors(n))
+    return _burnside(acc, n, f"colored_classes({n})")
+
+
+def _uncolored_burnside(n: int, fixed: dict[int, int]) -> int:
+    acc = sum(euler_phi(2 * n // k) * count for k, count in fixed.items())
+    return _burnside(acc, 2 * n, f"uncolored_classes({n})")
+
+
 def colored_classes(n: int) -> int:
     """Non-isomorphic color diagrams: average of fixed counts over the
     even rotation group, grouped by divisor with totient weights.
@@ -154,8 +166,7 @@ def colored_classes(n: int) -> int:
     ``n = 1`` gives 1 (the formula already does; no special case needed).
     """
     n = _integer(n, "diagram order", 1)
-    acc = sum(euler_phi(n // m) * colored_fixed(n, m) for m in _divisors(n))
-    return _burnside(acc, n, f"colored_classes({n})")
+    return _colored_burnside(n, _fixed_by_divisor(n))
 
 
 def colored_classes_prime(p: int) -> int:
@@ -188,8 +199,7 @@ def n_classes(n: int) -> int:
 def uncolored_classes(n: int) -> int:
     """Non-isomorphic uncolored diagrams under the full rotation group."""
     n = _integer(n, "diagram order", 1)
-    acc = sum(euler_phi(2 * n // k) * uncolored_fixed(n, k) for k in _divisors(2 * n))
-    return _burnside(acc, 2 * n, f"uncolored_classes({n})")
+    return _uncolored_burnside(n, _fixed_by_divisor(n))
 
 
 def _divisors(n: int) -> list[int]:
@@ -248,14 +258,15 @@ def build_table(n_min: int, n_max: int) -> CountTable:
         raise InvalidArgumentError(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
     rows = []
     for n in range(n_min, n_max + 1):
-        dds = colored_classes(n)
+        fixed = _fixed_by_divisor(n)
+        dds = _colored_burnside(n, fixed)
         do = o_classes(n)
         rows.append(
             CountRow(
                 n=n,
-                total=total_gluings(n),
+                total=fixed[2 * n],
                 o_total=total_o_gluings(n),
-                d_star=uncolored_classes(n),
+                d_star=_uncolored_burnside(n, fixed),
                 d_double_star=dds,
                 d_o=do,
                 d_n=dds - do,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import multiprocessing
@@ -81,6 +82,33 @@ def shard_counts(n: int, cls: DiagramClass, fp: int, shifts: list[int]) -> tuple
         fixed = [a - b for a, b in zip(fixed, o_fixed)]
     records = [r for r in records if classify(Gluing(r[0])) is DiagramClass.N]
     return rows, orbit_count, fixed, size_sum, records
+
+
+@functools.lru_cache(maxsize=None)
+def reference_shards(n: int, cls: DiagramClass, full: bool) -> dict[int, tuple]:
+    """fp -> (rows, {representative: orbit size}, fixed counts) by the oracles."""
+    pts = 2 * n
+    shifts, _ = _group_shifts(n, full)
+    pool = class_pool(n, cls)
+    orbits = census_matchings(pool, pts, even_only=not full)
+    out = {}
+    for fp in _shard_first_partners(n, cls):
+        shard = [m for m in pool if partner_of_1(m) == fp + 1]
+        reps = {k: size for k, size in orbits.items() if k[0] == (1, fp + 1)}
+        out[fp] = (len(shard), reps, [count_fixed_matchings(shard, pts, s) for s in shifts])
+    return out
+
+
+def assert_shards_match_reference(n: int, cls: DiagramClass, full: bool) -> None:
+    shifts, group_order = _group_shifts(n, full)
+    for fp, (shard_rows, reps, shard_fixed) in reference_shards(n, cls, full).items():
+        rows, orbit_count, fixed, size_sum, records = shard_counts(n, cls, fp, shifts)
+        assert rows == shard_rows
+        assert orbit_count == len(reps)
+        assert size_sum == sum(reps.values())
+        assert fixed == shard_fixed
+        assert {chords: size for chords, size, _ in records} == reps
+        assert all(size * st == group_order for _, size, st in records)
 
 
 def partner_row(m, n: int) -> tuple[int, ...]:
@@ -239,20 +267,24 @@ class TestShardTask:
     )
     @pytest.mark.parametrize("full", [False, True], ids=["even", "full"])
     def test_matches_reference_per_shard(self, n, cls, full):
-        pts = 2 * n
-        shifts, group_order = _group_shifts(n, full)
-        pool = class_pool(n, cls)
-        orbits = census_matchings(pool, pts, even_only=not full)
-        for fp in _shard_first_partners(n, cls):
-            shard = [m for m in pool if partner_of_1(m) == fp + 1]
-            reps = {k: size for k, size in orbits.items() if k[0] == (1, fp + 1)}
-            rows, orbit_count, fixed, size_sum, records = shard_counts(n, cls, fp, shifts)
-            assert rows == len(shard)
-            assert orbit_count == len(reps)
-            assert size_sum == sum(reps.values())
-            assert fixed == [count_fixed_matchings(shard, pts, s) for s in shifts]
-            assert {chords: size for chords, size, _ in records} == reps
-            assert all(size * st == group_order for _, size, st in records)
+        assert_shards_match_reference(n, cls, full)
+
+    # 0: every shift compares alone to the end.  10**9: every survivor of
+    # point 0 is finished with those of the other shifts.
+    @pytest.mark.parametrize("merge_rows", [0, 10**9], ids=["alone", "merged"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("cls", [DiagramClass.ALL, DiagramClass.O])
+    @pytest.mark.parametrize("full", [False, True], ids=["even", "full"])
+    def test_both_kernel_regimes_match_reference(self, n, cls, full, merge_rows, monkeypatch):
+        monkeypatch.setattr(census_mod, "_MERGE_ROWS", merge_rows)
+        assert_shards_match_reference(n, cls, full)
+
+    def test_census_same_in_both_kernel_regimes(self, monkeypatch):
+        results = []
+        for merge_rows in (0, 10**9):
+            monkeypatch.setattr(census_mod, "_MERGE_ROWS", merge_rows)
+            results.append((orbit_census(8), orbit_census(9, DiagramClass.O)))
+        assert results[0] == results[1]
 
     def test_every_n7_shard_matches_pinned_digest(self):
         # sha256 over repr() of every tuple, in loop order, pinned from the
@@ -281,6 +313,21 @@ class TestShardTask:
             _shard_task((n, DiagramClass.ALL.value, 1, shifts, False))
             _, peak = tracemalloc.get_traced_memory()
             table = _matching_table(n - 1, False)
+        finally:
+            tracemalloc.stop()
+            _matching_table.cache_clear()
+        rows = table.shape[1]
+        assert peak < table.nbytes + rows * 2 * n + 20 * rows
+
+    def test_o_task_peak_below_table_plus_shard_plus_20_bytes_a_row(self):
+        n = 9
+        shifts, _ = _group_shifts(n, False)
+        _matching_table.cache_clear()
+        tracemalloc.start()
+        try:
+            _shard_task((n, DiagramClass.O.value, 1, shifts, False))
+            _, peak = tracemalloc.get_traced_memory()
+            table = _matching_table(n - 1, True)
         finally:
             tracemalloc.stop()
             _matching_table.cache_clear()
