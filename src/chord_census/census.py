@@ -29,12 +29,11 @@ rotation orbit, so counting minima counts orbits.  Each shift compares a
 shard with its rotation point by point, keeping only the gluings equal so
 far; almost every gluing differs at point 0, so a shift costs about one
 pass over one point's row.  Once a shift has few gluings left, it stops
-stepping alone: the few left by every shift are finished together, as
-(gluing, shift) pairs compared at every point in one array operation, so
-the short tails cost a fixed number of numpy calls per shard rather than
-some per point and shift.  Gluings equal to the end are fixed by the
-shift, which gives the fixed-point counts and stabilizer orders.  Orbit
-representatives are collected on request.
+stepping alone.  One merged compare then finishes every shift's survivors,
+those compared to the end alone included, as (gluing, shift) pairs compared
+at every point in one array operation: a fixed number of numpy calls per
+shard.  Pairs equal to the end are fixed, which gives the fixed-point counts
+and stabilizer orders.  Orbit representatives are collected on request.
 
 ``orbit_census`` is the only entry into the engine: one pass per (n, class,
 group) yields the orbit count, the class size and the fixed count of every
@@ -247,8 +246,10 @@ def _shard_matchings(n: int, fp: int, cls: DiagramClass) -> np.ndarray:
     return _lift(_matching_table(n - 1, o_only), fp, o_only).T
 
 
-def _rotated(col: np.ndarray, s: int, pts: int) -> np.ndarray:
-    """(col + s) mod pts for int8 partners, without slow int8 division."""
+def _rotated(col: np.ndarray, s: int | np.ndarray, pts: int) -> np.ndarray:
+    """(col + s) mod pts for int8 partners, without slow int8 division.  ``s``
+    is one shift, or one per column for the merged compare that finishes all
+    survivors, those a shift compared to the end alone included."""
     rot = col + np.int8(s)
     rot -= np.int8(pts) * (rot >= pts)
     return rot
@@ -264,19 +265,17 @@ def _shard_task(args: tuple) -> tuple:
     unless ``keep_orbits``.
     """
     n, cls_value, fp, shifts, keep_orbits = args
-    cls = DiagramClass(cls_value)
     pts = 2 * n
-    Mt = _shard_matchings(n, fp, cls).T
+    Mt = _shard_matchings(n, fp, DiagramClass(cls_value)).T
     rows = Mt.shape[1]
     not_min = np.zeros(rows, dtype=bool)
     stab = np.ones(rows, dtype=np.uint8)  # group order <= 2 * _MAX_ENGINE_ORDER = 64
-    fixed = np.zeros(len(shifts), dtype=np.int64)
     # Point i of gluing r rotated by s has partner (Mt[i - s, r] + s) mod pts.
     # Each shift compares point by point, keeping only the gluings equal so
-    # far; point 0 is fp in all.  Once at most _MERGE_ROWS are left, they wait
-    # to be finished with those of every other shift as (row, shift) pairs.
-    rest_rows, rest_shift = [], []
-    for j, s in enumerate(shifts):
+    # far; point 0 is fp in all.  Once at most _MERGE_ROWS are left (or none
+    # differed anywhere), they wait to be finished with every other shift's.
+    rest_rows, rest_shift = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for s in shifts:
         rot = _rotated(Mt[-s], s, pts)
         not_min |= rot < fp
         alive = np.flatnonzero(rot == fp)
@@ -287,27 +286,19 @@ def _shard_task(args: tuple) -> tuple:
             not_min[alive[rot < base]] = True
             alive = alive[rot == base]
             i += 1
-        if i == pts:
-            fixed[j] = alive.size
-            stab[alive] += 1
-        elif alive.size:
-            rest_rows.append(alive)
-            rest_shift.append(np.full(alive.size, j))
-    if rest_rows:
-        # Every point of every pair at once: the first point at which a pair
-        # differs decides it, and a pair that differs nowhere is fixed.
-        alive, j = np.concatenate(rest_rows), np.concatenate(rest_shift)
-        shift = np.array(shifts)[j]
-        rotate = (np.add.outer(np.arange(pts), np.arange(pts)) % pts).astype(np.int8)
-        rot = rotate[shift, Mt[np.arange(pts)[:, None] - shift, alive]]
-        base = Mt[:, alive]
-        at = (rot != base).argmax(axis=0), np.arange(alive.size)
-        rot, base = rot[at], base[at]
-        not_min[alive[rot < base]] = True
-        same = rot == base
-        fixed += np.bincount(j[same], minlength=len(shifts))
-        np.add.at(stab, alive[same], 1)
-    fixed = fixed.tolist()
+        rest_rows.append(alive)
+        rest_shift.append(np.full(alive.size, s))
+    # Every point of every pair at once: the first point at which a pair
+    # differs decides it, and a pair that differs nowhere is fixed.
+    alive, shift = np.concatenate(rest_rows), np.concatenate(rest_shift)
+    rot = _rotated(Mt[np.arange(pts)[:, None] - shift, alive], shift, pts)
+    base = Mt[:, alive]
+    at = (rot != base).argmax(axis=0), np.arange(alive.size)
+    rot, base = rot[at], base[at]
+    not_min[alive[rot < base]] = True
+    same = rot == base
+    fixed = np.bincount(shift[same], minlength=pts)[shifts].tolist()
+    np.add.at(stab, alive[same], 1)
 
     canon = ~not_min
     orbit_count = int(canon.sum())
@@ -381,6 +372,10 @@ def orbit_census(
     """
     n = _integer(n, "diagram order", 1)
     workers = _integer(workers, "workers", 1)
+    try:
+        diagram_class = DiagramClass(diagram_class)
+    except ValueError:
+        raise InvalidArgumentError(f"class must be all, o or n, got {diagram_class!r}") from None
     if n > _MAX_ENGINE_ORDER:
         raise InvalidArgumentError(
             f"the int8 census engine needs n <= {_MAX_ENGINE_ORDER}, got {n}"
@@ -485,7 +480,7 @@ def count_fixed(
         n, diagram_class, keep_orbits=False, budget=budget, workers=workers
     )
     count = dict(census.fixed_counts)[k]
-    return FixedPointCount(n=n, shift=k, diagram_class=diagram_class, count=count)
+    return FixedPointCount(n=n, shift=k, diagram_class=census.diagram_class, count=count)
 
 
 def _burnside_holds(census: OrbitCensus) -> bool:

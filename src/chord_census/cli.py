@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 from . import counting
@@ -53,6 +54,14 @@ def _class_arg(value: str) -> DiagramClass:
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def _key_values(record: dict) -> str:
+    """The record as ``key=value`` words in its own order, booleans as in JSON."""
+    return " ".join(
+        f"{key}={str(value).lower() if isinstance(value, bool) else value}"
+        for key, value in record.items()
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,13 +151,7 @@ def _cmd_count(args) -> int:
         "total_gluings": _CLASS_TOTALS[cls](n),
         "classes": _CLASS_COUNTS[cls](n),
     }
-    if args.format == "json":
-        print(_dump_json(record))
-    else:
-        print(
-            f"n={n} class={cls.value} total_gluings={record['total_gluings']} "
-            f"classes={record['classes']}"
-        )
+    print(_dump_json(record) if args.format == "json" else _key_values(record))
     return 0
 
 
@@ -213,14 +216,14 @@ def _cmd_orbits(args) -> int:
         workers=args.workers,
         progress=progress,
     )
+    record = {
+        "n": census.n,
+        "class": census.diagram_class.value,
+        "group_order": census.group_order,
+        "total_gluings": census.total_gluings,
+        "orbit_count": census.orbit_count,
+    }
     if args.format == "json":
-        record = {
-            "n": census.n,
-            "class": census.diagram_class.value,
-            "group_order": census.group_order,
-            "total_gluings": census.total_gluings,
-            "orbit_count": census.orbit_count,
-        }
         if args.orbit_reps:
             record["orbits"] = [
                 {
@@ -232,11 +235,7 @@ def _cmd_orbits(args) -> int:
             ]
         print(_dump_json(record))
     else:
-        print(
-            f"n={census.n} class={census.diagram_class.value} "
-            f"group_order={census.group_order} total_gluings={census.total_gluings} "
-            f"orbit_count={census.orbit_count}"
-        )
+        print(_key_values(record))
         if args.orbit_reps:
             for o in census.orbits:
                 print(
@@ -249,25 +248,14 @@ def _cmd_orbits(args) -> int:
 def _cmd_cycles(args) -> int:
     d = ColorDiagram(Gluing.parse(args.gluing))
     dec = trace_cycles(d)
-    surf = surface_type(d)
+    surface = asdict(surface_type(d))
     if args.format == "json":
-        record = dec.to_json_dict()
-        record["surface"] = {
-            "orientable": surf.orientable,
-            "boundary_components": surf.boundary_components,
-            "euler_characteristic": surf.euler_characteristic,
-            "genus": surf.genus,
-        }
-        print(_dump_json(record))
+        print(_dump_json({**dec.to_json_dict(), "surface": surface}))
     else:
         print(dec.text())
         lb, lw = dec.counts
         print(f"lambda_b={lb} lambda_w={lw} lambda_total={dec.total}")
-        print(
-            f"orientable={'true' if surf.orientable else 'false'} "
-            f"boundary_components={surf.boundary_components} "
-            f"euler_characteristic={surf.euler_characteristic} genus={surf.genus}"
-        )
+        print(_key_values(surface))
     return 0
 
 

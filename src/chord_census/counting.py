@@ -143,20 +143,14 @@ def _burnside(total_with_weights: int, group_order: int, what: str) -> int:
     return total_with_weights // group_order
 
 
-def _fixed_by_divisor(n: int) -> dict[int, int]:
-    """``uncolored_fixed(n, k)`` for every k dividing 2n.  The entry at k = 2m
-    is ``colored_fixed(n, m)`` and the one at k = 2n is the class size."""
-    return {k: uncolored_fixed(n, k) for k in _divisors(2 * n)}
+def _cyclic_orbits(order: int, fixed_by, what: str) -> int:
+    """Orbits under a cyclic group of this order, by Burnside's lemma.
 
-
-def _colored_burnside(n: int, fixed: dict[int, int]) -> int:
-    acc = sum(euler_phi(n // m) * fixed[2 * m] for m in _divisors(n))
-    return _burnside(acc, n, f"colored_classes({n})")
-
-
-def _uncolored_burnside(n: int, fixed: dict[int, int]) -> int:
-    acc = sum(euler_phi(2 * n // k) * count for k, count in fixed.items())
-    return _burnside(acc, 2 * n, f"uncolored_classes({n})")
+    ``fixed_by(d)``, for d dividing ``order``, counts what the d-th power of
+    a generator fixes; the phi(order/d) elements of order order/d all fix
+    that many."""
+    acc = sum(euler_phi(order // d) * fixed_by(d) for d in _divisors(order))
+    return _burnside(acc, order, what)
 
 
 def colored_classes(n: int) -> int:
@@ -166,7 +160,7 @@ def colored_classes(n: int) -> int:
     ``n = 1`` gives 1 (the formula already does; no special case needed).
     """
     n = _integer(n, "diagram order", 1)
-    return _colored_burnside(n, _fixed_by_divisor(n))
+    return _cyclic_orbits(n, lambda m: colored_fixed(n, m), f"colored_classes({n})")
 
 
 def colored_classes_prime(p: int) -> int:
@@ -180,8 +174,7 @@ def o_classes(n: int) -> int:
     """Non-isomorphic O-diagrams; also the number of topologically distinct
     one-critical-point functions on oriented bordered surfaces of this size."""
     n = _integer(n, "diagram order", 1)
-    acc = sum(euler_phi(n // i) * o_fixed(n, i) for i in _divisors(n))
-    return _burnside(acc, n, f"o_classes({n})")
+    return _cyclic_orbits(n, lambda i: o_fixed(n, i), f"o_classes({n})")
 
 
 def o_classes_prime(p: int) -> int:
@@ -199,19 +192,12 @@ def n_classes(n: int) -> int:
 def uncolored_classes(n: int) -> int:
     """Non-isomorphic uncolored diagrams under the full rotation group."""
     n = _integer(n, "diagram order", 1)
-    return _uncolored_burnside(n, _fixed_by_divisor(n))
+    return _cyclic_orbits(2 * n, lambda k: uncolored_fixed(n, k), f"uncolored_classes({n})")
 
 
 def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 @dataclass(frozen=True)
@@ -258,15 +244,16 @@ def build_table(n_min: int, n_max: int) -> CountTable:
         raise InvalidArgumentError(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
     rows = []
     for n in range(n_min, n_max + 1):
-        fixed = _fixed_by_divisor(n)
-        dds = _colored_burnside(n, fixed)
+        # k = 2m gives colored_fixed(n, m), and k = 2n the class size
+        fixed = {k: uncolored_fixed(n, k) for k in _divisors(2 * n)}
+        dds = _cyclic_orbits(n, lambda m: fixed[2 * m], f"colored_classes({n})")
         do = o_classes(n)
         rows.append(
             CountRow(
                 n=n,
                 total=fixed[2 * n],
                 o_total=total_o_gluings(n),
-                d_star=_uncolored_burnside(n, fixed),
+                d_star=_cyclic_orbits(2 * n, fixed.__getitem__, f"uncolored_classes({n})"),
                 d_double_star=dds,
                 d_o=do,
                 d_n=dds - do,

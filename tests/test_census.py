@@ -686,3 +686,30 @@ class TestIntegerArguments:
         assert type(census.n) is int
         assert census == orbit_census(3)
         assert type(count_fixed(np.int64(3), 2, DiagramClass.O).n) is int
+
+
+class TestClassArgument:
+    @pytest.mark.parametrize("value", ["o", "n", "all"])
+    def test_class_value_reads_as_the_enum(self, value):
+        cls = DiagramClass(value)
+        census = orbit_census(4, value)
+        assert census.diagram_class is cls
+        assert census == orbit_census(4, cls)
+        fixed = count_fixed(4, 2, value)
+        assert fixed.diagram_class is cls
+        assert fixed == count_fixed(4, 2, cls)
+        assert burnside_check(4, value)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda cls: orbit_census(4, cls),
+            lambda cls: count_fixed(4, 2, cls),
+            lambda cls: burnside_check(4, cls),
+        ],
+        ids=["orbit_census", "count_fixed", "burnside_check"],
+    )
+    @pytest.mark.parametrize("value", ["x", "O", None])
+    def test_unknown_class_rejected(self, entry, value):
+        with pytest.raises(InvalidArgumentError, match="class must be all, o or n"):
+            entry(value)
