@@ -25,15 +25,18 @@ both touch contiguous memory.
 
 The census never materializes the set of seen canonical forms.  A gluing
 opens a new orbit exactly when it *is* the lexicographic minimum of its
-rotation orbit, so counting minima counts orbits.  Each shift compares a
-shard with its rotation point by point, keeping only the gluings equal so
-far; almost every gluing differs at point 0, so a shift costs about one
-pass over one point's row.  Once a shift has few gluings left, it stops
-stepping alone.  One merged compare then finishes every shift's survivors,
-those compared to the end alone included, as (gluing, shift) pairs compared
-at every point in one array operation: a fixed number of numpy calls per
-shard.  Pairs equal to the end are fixed, which gives the fixed-point counts
-and stabilizer orders.  Orbit representatives are collected on request.
+rotation orbit, so counting minima counts orbits.  The kernel reads each
+shard as clockwise spans, (partner(i) - i) mod 2n per point, which makes
+canonicity a least-rotation (necklace) test on the span word and a
+rotation a re-indexing of rows.  Each shift compares a shard's first two
+points with its rotation's over whole rows, then steps point by point,
+keeping only the gluings equal so far; few gluings get past point 1.  Once
+a shift has few gluings left, it stops stepping alone.  One merged compare
+then finishes every shift's survivors, those compared to the end alone
+included, as (gluing, shift) pairs compared at every point in one array
+operation: a fixed number of numpy calls per shard.  Pairs equal to the
+end are fixed, which gives the fixed-point counts and stabilizer orders.
+Orbit representatives are collected on request.
 
 ``orbit_census`` is the only entry into the engine: one pass per (n, class,
 group) yields the orbit count, the class size and the fixed count of every
@@ -43,6 +46,9 @@ from such a census.
 Work is bounded by a gluing budget (default 4*10^7, overridable with the
 ``CHORD_CENSUS_BUDGET`` environment variable or per call).  Class N is the
 class-all census less the class-O one, so it is charged the full (2n-1)!!.
+A census of fewer than 10^7 gluings runs in-process whatever ``workers``
+says: below that, forking a process pool costs more than the shard work it
+splits.
 """
 
 from __future__ import annotations
@@ -50,7 +56,6 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional
@@ -76,9 +81,12 @@ __all__ = [
 
 DEFAULT_BUDGET = 40_000_000
 BUDGET_ENV_VAR = "CHORD_CENSUS_BUDGET"
-_MAX_ENGINE_ORDER = 32  # a partner plus a shift, up to 4n - 2, must fit in int8
+# Partners and spans stay below 2n <= 64, so they fit a byte, and the uint8
+# stabilizer count holds a group order up to 2n <= 64.
+_MAX_ENGINE_ORDER = 32
 _TAIL_POINTS = 6  # memo size vs speed: 8 points is faster, but its memo is ~8x larger
 _MERGE_ROWS = 64  # survivors of one shift few enough to finish with the other shifts'
+_POOL_MIN_GLUINGS = 10**7  # below this, forking a pool costs more than it saves
 
 ProgressFn = Callable[[int, int], None]  # (gluings processed, orbits found)
 
@@ -246,43 +254,55 @@ def _shard_matchings(n: int, fp: int, cls: DiagramClass) -> np.ndarray:
     return _lift(_matching_table(n - 1, o_only), fp, o_only).T
 
 
-def _rotated(col: np.ndarray, s: int | np.ndarray, pts: int) -> np.ndarray:
-    """(col + s) mod pts for int8 partners, without slow int8 division.  ``s``
-    is one shift, or one per column for the merged compare that finishes all
-    survivors, those a shift compared to the end alone included."""
-    rot = col + np.int8(s)
-    rot -= np.int8(pts) * (rot >= pts)
-    return rot
-
-
 def _shard_task(args: tuple) -> tuple:
     """One shard of the census; module level so worker processes can run it.
 
-    Reads the shard as one contiguous row per point (``Mt``, the transpose
-    of ``_shard_matchings``, which costs no copy), so one point of every
-    gluing is one contiguous read.  Returns (rows, orbit_count,
-    fixed_counts, orbit_size_sum, orbit_records); the records list is empty
-    unless ``keep_orbits``.
+    Reads the shard as one contiguous row per point (the transpose of
+    ``_shard_matchings``, which costs no copy), so one point of every
+    gluing is one contiguous read.  Each row is first turned in place into
+    clockwise spans, S[i] = (partner(i) - i) mod 2n: rotating a gluing by s
+    shifts its span word cyclically by s, and where two partner arrays first
+    differ both partners lie past that point, so span words order gluings
+    as partner arrays do.  A rotation is then a re-indexing of rows.
+    Returns (rows, orbit_count, fixed_counts, orbit_size_sum,
+    orbit_records); the records list is empty unless ``keep_orbits``.
     """
     n, cls_value, fp, shifts, keep_orbits = args
     pts = 2 * n
-    Mt = _shard_matchings(n, fp, DiagramClass(cls_value)).T
-    rows = Mt.shape[1]
+    S = _shard_matchings(n, fp, DiagramClass(cls_value)).T.view(np.uint8)
+    rows = S.shape[1]
+    eq, lt = np.empty(rows, dtype=bool), np.empty(rows, dtype=bool)
+    # (p - i) mod 256, then min(x, x + 2n) wraps the negatives to mod 2n.
+    wrap = np.empty(rows, dtype=np.uint8)
+    for i, row in enumerate(S[1:], 1):  # point 0's span is fp, its partner
+        row -= i
+        np.add(row, pts, out=wrap)
+        np.minimum(row, wrap, out=row)
+    del wrap
     not_min = np.zeros(rows, dtype=bool)
     stab = np.ones(rows, dtype=np.uint8)  # group order <= 2 * _MAX_ENGINE_ORDER = 64
-    # Point i of gluing r rotated by s has partner (Mt[i - s, r] + s) mod pts.
-    # Each shift compares point by point, keeping only the gluings equal so
-    # far; point 0 is fp in all.  Once at most _MERGE_ROWS are left (or none
-    # differed anywhere), they wait to be finished with every other shift's.
+    # Span i of gluing r rotated by s is S[i - s, r].  Each shift compares
+    # points 0 and 1 over the whole shard, then steps point by point,
+    # keeping only the gluings equal so far.  Once at most _MERGE_ROWS are
+    # left (or none differed anywhere), they wait to be finished with every
+    # other shift's.
     rest_rows, rest_shift = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     for s in shifts:
-        rot = _rotated(Mt[-s], s, pts)
-        not_min |= rot < fp
-        alive = np.flatnonzero(rot == fp)
-        i = 1
+        # (S[-s], S[1 - s]) against (fp, S[1]), lexicographically.
+        head, second = S[-s], S[1 - s]
+        np.equal(head, fp, out=eq)
+        np.less(second, S[1], out=lt)
+        lt &= eq
+        not_min |= lt
+        np.less(head, fp, out=lt)
+        not_min |= lt
+        np.equal(second, S[1], out=lt)
+        eq &= lt
+        alive = np.flatnonzero(eq)
+        i = 2
         while alive.size > _MERGE_ROWS and i < pts:
-            rot = _rotated(Mt[i - s][alive], s, pts)
-            base = Mt[i][alive]
+            rot = S[i - s][alive]
+            base = S[i][alive]
             not_min[alive[rot < base]] = True
             alive = alive[rot == base]
             i += 1
@@ -291,8 +311,8 @@ def _shard_task(args: tuple) -> tuple:
     # Every point of every pair at once: the first point at which a pair
     # differs decides it, and a pair that differs nowhere is fixed.
     alive, shift = np.concatenate(rest_rows), np.concatenate(rest_shift)
-    rot = _rotated(Mt[np.arange(pts)[:, None] - shift, alive], shift, pts)
-    base = Mt[:, alive]
+    rot = S[np.arange(pts)[:, None] - shift, alive]
+    base = S[:, alive]
     at = (rot != base).argmax(axis=0), np.arange(alive.size)
     rot, base = rot[at], base[at]
     not_min[alive[rot < base]] = True
@@ -309,7 +329,8 @@ def _shard_task(args: tuple) -> tuple:
     size_sum = int((group_order // stabs).sum())
     records = []
     if keep_orbits:
-        for row, st in zip(Mt[:, canon].T, stabs):
+        partners = (np.arange(pts)[:, None] + S[:, canon]) % pts
+        for row, st in zip(partners.T, stabs):
             chords = tuple((i + 1, int(row[i]) + 1) for i in range(pts) if i < row[i])
             records.append((chords, group_order // int(st), int(st)))
     return (rows, orbit_count, fixed, size_sum, records)
@@ -327,7 +348,8 @@ def _resolve_budget(budget: Optional[int]) -> int:
     return _integer(budget, "budget", 1)
 
 
-def _charge_budget(n: int, cls: DiagramClass, budget: Optional[int]) -> None:
+def _charge_budget(n: int, cls: DiagramClass, budget: Optional[int]) -> int:
+    """The gluings a census of ``cls`` works through, once within budget."""
     limit = _resolve_budget(budget)
     work = total_o_gluings(n) if cls is DiagramClass.O else total_gluings(n)
     if work > limit:
@@ -335,6 +357,7 @@ def _charge_budget(n: int, cls: DiagramClass, budget: Optional[int]) -> None:
             f"{work} gluings exceed the budget of {limit}; raise budget or "
             f"set {BUDGET_ENV_VAR}"
         )
+    return work
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +389,12 @@ def orbit_census(
     isomorphism).  The same pass counts the gluings each group element
     fixes (``fixed_counts``).  ``keep_orbits`` defaults to True up to n = 6
     and False above, where the representative list would get large; counts
-    are exact either way.  Results are identical for every ``workers``
-    setting.  Class N is a class-all census less a class-O one; ``progress``
-    gets its numbers after each class-all shard.
+    are exact either way.  ``workers`` is an upper bound: shards go to a
+    process pool of at most that many workers (and at most one per shard)
+    only for a census of at least 10^7 gluings.  Results are identical for
+    every ``workers`` setting.  Class N is a class-all census less a class-O
+    one, each deciding on its own pool; ``progress`` gets its numbers after
+    each class-all shard.
     """
     n = _integer(n, "diagram order", 1)
     workers = _integer(workers, "workers", 1)
@@ -380,7 +406,7 @@ def orbit_census(
         raise InvalidArgumentError(
             f"the int8 census engine needs n <= {_MAX_ENGINE_ORDER}, got {n}"
         )
-    _charge_budget(n, diagram_class, budget)
+    work = _charge_budget(n, diagram_class, budget)
     if diagram_class is DiagramClass.N:
         marks: list[tuple[int, int]] = []  # (rows, orbits) after each class-O shard
         shard = itertools.count()  # class-all shard j (fp j + 1) follows O's 0..j // 2
@@ -403,7 +429,8 @@ def orbit_census(
         for fp in _shard_first_partners(n, diagram_class)
     ]
 
-    workers = min(workers, len(tasks))  # a pool forks all its workers up front
+    # a pool forks all its workers up front
+    workers = min(workers, len(tasks)) if work >= _POOL_MIN_GLUINGS else 1
     total = orbit_count = size_sum = 0
     fixed = [0] * len(shifts)
     records: list[tuple] = []
@@ -412,6 +439,8 @@ def orbit_census(
         if workers == 1:
             shards = map(_shard_task, tasks)
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = ProcessPoolExecutor(max_workers=workers)
             # On any exception, drop the shards not yet started and join the workers.
             stack.callback(pool.shutdown, cancel_futures=True)

@@ -82,7 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_budget_workers(p):
         p.add_argument("--budget", type=int, default=None, help="max gluings to enumerate")
-        p.add_argument("--workers", type=int, default=1, help="parallel shard workers")
+        p.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            help="most parallel shard workers; a census under 10^7 gluings runs in-process",
+        )
 
     p = sub.add_parser("count", help="closed-form counts for one n")
     p.add_argument("--n", type=int, required=True)

@@ -54,6 +54,15 @@ def matching_key(m: Matching) -> tuple:
     return tuple(sorted(tuple(sorted(p)) for p in m))
 
 
+def span_word(m: Matching, pts: int) -> tuple[int, ...]:
+    """Clockwise span (partner - point) mod 2n of points 1..2n, in order."""
+    partner = {}
+    for pair in m:
+        a, b = tuple(pair)
+        partner[a], partner[b] = b, a
+    return tuple((partner[d] - d) % pts for d in range(1, pts + 1))
+
+
 def canonical_matching(m: Matching, pts: int, even_only: bool) -> tuple:
     """Minimum key over the rotation orbit (even shifts or all shifts)."""
     step = 2 if even_only else 1

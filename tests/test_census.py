@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import functools
 import hashlib
 import math
@@ -12,6 +13,8 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chord_census import (
     BudgetExceededError,
@@ -44,6 +47,8 @@ from oracles import (
     is_o_matching,
     matching_key,
     o_matchings,
+    rotate_matching,
+    span_word,
 )
 
 
@@ -111,12 +116,90 @@ def assert_shards_match_reference(n: int, cls: DiagramClass, full: bool) -> None
         assert all(size * st == group_order for _, size, st in records)
 
 
+@pytest.fixture
+def pool_always(monkeypatch):
+    """Let a census of any size start a process pool."""
+    monkeypatch.setattr(census_mod, "_POOL_MIN_GLUINGS", 0)
+
+
+@pytest.fixture
+def pools(monkeypatch) -> list[int]:
+    """``max_workers`` of every pool a census starts; the pool runs the
+    shards in-process."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return started
+
+
 def partner_row(m, n: int) -> tuple[int, ...]:
     """0-based partner array of a 1-based oracle matching."""
     row = [0] * (2 * n)
     for a, b in (tuple(p) for p in m):
         row[a - 1], row[b - 1] = b - 1, a - 1
     return tuple(row)
+
+
+def flat_normal_form(m) -> tuple[int, ...]:
+    return tuple(d for pair in matching_key(m) for d in pair)
+
+
+def drawn_matching(draw, n: int):
+    perm = draw(st.permutations(range(1, 2 * n + 1)))
+    return frozenset(frozenset(perm[i : i + 2]) for i in range(0, 2 * n, 2))
+
+
+@st.composite
+def matchings_of_one_order(draw, count: int, max_n: int = 12):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    return n, [drawn_matching(draw, n) for _ in range(count)]
+
+
+class TestSpanWords:
+    """The two facts the census kernel reads its shards by, on oracle
+    matchings: rotation shifts the span word cyclically, and span words
+    order matchings as their flattened normal forms do."""
+
+    @staticmethod
+    def assert_rotation_shifts_word(m, pts: int) -> None:
+        word = span_word(m, pts)
+        for s in range(1, pts + 1):
+            rotated = span_word(rotate_matching(m, s, pts), pts)
+            assert rotated == word[pts - s :] + word[: pts - s]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rotation_shifts_every_span_word(self, n):
+        for m in all_matchings(n):
+            self.assert_rotation_shifts_word(m, 2 * n)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_span_words_sort_as_normal_forms(self, n):
+        pool = all_matchings(n)
+        by_span = sorted(pool, key=lambda m: span_word(m, 2 * n))
+        assert by_span == sorted(pool, key=flat_normal_form)
+
+    @given(matchings_of_one_order(1))
+    def test_rotation_shifts_drawn_span_word(self, drawn):
+        n, (m,) = drawn
+        self.assert_rotation_shifts_word(m, 2 * n)
+
+    @given(matchings_of_one_order(2))
+    def test_drawn_span_words_order_as_normal_forms(self, drawn):
+        n, (a, b) = drawn
+        words = span_word(a, 2 * n), span_word(b, 2 * n)
+        forms = flat_normal_form(a), flat_normal_form(b)
+        assert (words[0] < words[1]) == (forms[0] < forms[1])
+        assert (words[0] == words[1]) == (a == b)
 
 
 class TestEnumerateGluings:
@@ -403,7 +486,7 @@ class TestOrbitCensus:
         "cls", [DiagramClass.ALL, DiagramClass.O, DiagramClass.N]
     )
     @pytest.mark.parametrize("full", [False, True], ids=["even", "full"])
-    def test_workers_do_not_change_counts(self, cls, full):
+    def test_workers_do_not_change_counts(self, cls, full, pool_always):
         seq = orbit_census(
             5, cls, keep_orbits=True, full_rotation_group=full, workers=1
         )
@@ -506,7 +589,7 @@ class TestOrbitCensus:
         # 6! = 720 O-gluings fit a budget that (2*6-1)!! would burst
         assert orbit_census(6, DiagramClass.O, budget=720).orbit_count == 136
 
-    def test_worker_exception_propagates(self, monkeypatch):
+    def test_worker_exception_propagates(self, monkeypatch, pool_always):
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("workers see the patched module only when forked")
         original = census_mod._shard_matchings
@@ -523,7 +606,7 @@ class TestOrbitCensus:
         assert result is None
         assert multiprocessing.active_children() == []
 
-    def test_interrupt_from_progress_propagates(self):
+    def test_interrupt_from_progress_propagates(self, pool_always):
         def interrupt(done, orbits):
             raise KeyboardInterrupt
 
@@ -533,25 +616,24 @@ class TestOrbitCensus:
         assert result is None
         assert multiprocessing.active_children() == []
 
-    def test_workers_capped_at_shard_count(self, monkeypatch):
-        pools = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-            def shutdown(self, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(census_mod, "ProcessPoolExecutor", RecordingPool)
+    def test_workers_capped_at_shard_count(self, pools, pool_always):
         assert orbit_census(2, workers=500) == orbit_census(2)
         assert pools == [3]
         assert orbit_census(1, workers=8) == orbit_census(1)
         assert orbit_census(2, DiagramClass.O, workers=8) == orbit_census(2, DiagramClass.O)
         assert pools == [3, 2]
+
+    def test_small_census_starts_no_pool(self, pools, monkeypatch):
+        assert orbit_census(5, workers=2) == orbit_census(5, workers=1)
+        assert pools == []
+        # (2*5-1)!! = 945 gluings reach this threshold; the 5! = 120 of the
+        # class-O pass behind class N do not, so only its class-all pass forks.
+        monkeypatch.setattr(census_mod, "_POOL_MIN_GLUINGS", 945)
+        assert orbit_census(5, workers=2) == orbit_census(5, workers=1)
+        assert pools == [2]
+        n_class = orbit_census(5, DiagramClass.N, workers=1)
+        assert orbit_census(5, DiagramClass.N, workers=2) == n_class
+        assert pools == [2, 2]
 
     def test_no_matching_table_outlives_a_census(self):
         orbit_census(5)
