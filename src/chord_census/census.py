@@ -25,18 +25,25 @@ both touch contiguous memory.
 
 The census never materializes the set of seen canonical forms.  A gluing
 opens a new orbit exactly when it *is* the lexicographic minimum of its
-rotation orbit, so counting minima counts orbits.  The kernel reads each
-shard as clockwise spans, (partner(i) - i) mod 2n per point, which makes
-canonicity a least-rotation (necklace) test on the span word and a
-rotation a re-indexing of rows.  Each shift compares a shard's first two
-points with its rotation's over whole rows, then steps point by point,
-keeping only the gluings equal so far; few gluings get past point 1.  Once
-a shift has few gluings left, it stops stepping alone.  One merged compare
-then finishes every shift's survivors, those compared to the end alone
+rotation orbit, so counting minima counts orbits.
+
+The kernel's unit of work is a run: consecutive shards side by side, one
+column per gluing.  In-process, shards are packed into runs of at most
+2^15 gluings, so the small shards of a small census share one kernel pass;
+a process pool gets one shard per task.  The kernel reads a run as
+clockwise spans, (partner(i) - i) mod 2n per point, which makes canonicity
+a least-rotation (necklace) test on the span word and a rotation a
+re-indexing of rows.  Each shift compares a run's first two points with
+its rotation's over whole rows, then steps point by point, keeping only
+the gluings equal so far; few gluings get past point 1.  Once a shift has
+few gluings left, it stops stepping alone.  One merged compare then
+finishes every shift's survivors, those compared to the end alone
 included, as (gluing, shift) pairs compared at every point in one array
-operation: a fixed number of numpy calls per shard.  Pairs equal to the
-end are fixed, which gives the fixed-point counts and stabilizer orders.
-Orbit representatives are collected on request.
+operation: a fixed number of numpy calls per run.  Pairs equal to the end
+are fixed, which gives the fixed-point counts; only fixed gluings have a
+stabilizer above 1, so stabilizers and orbit sizes are finished from those
+pairs alone.  Every count is split back by shard, so each shard reports
+what it would alone.  Orbit representatives are collected on request.
 
 ``orbit_census`` is the only entry into the engine: one pass per (n, class,
 group) yields the orbit count, the class size and the fixed count of every
@@ -53,6 +60,7 @@ splits.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import os
@@ -81,12 +89,12 @@ __all__ = [
 
 DEFAULT_BUDGET = 40_000_000
 BUDGET_ENV_VAR = "CHORD_CENSUS_BUDGET"
-# Partners and spans stay below 2n <= 64, so they fit a byte, and the uint8
-# stabilizer count holds a group order up to 2n <= 64.
+# Partners and spans stay below 2n <= 64, so they fit a byte.
 _MAX_ENGINE_ORDER = 32
 _TAIL_POINTS = 6  # memo size vs speed: 8 points is faster, but its memo is ~8x larger
 _MERGE_ROWS = 64  # survivors of one shift few enough to finish with the other shifts'
 _POOL_MIN_GLUINGS = 10**7  # below this, forking a pool costs more than it saves
+_RUN_COLUMNS = 1 << 15  # gluings of one in-process kernel task made of several shards
 
 ProgressFn = Callable[[int, int], None]  # (gluings processed, orbits found)
 
@@ -246,55 +254,78 @@ def _matching_table(k: int, o_only: bool) -> np.ndarray:
     return T
 
 
-def _shard_matchings(n: int, fp: int, cls: DiagramClass) -> np.ndarray:
+def _shard_matchings(
+    n: int, fp: int, cls: DiagramClass, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Partner arrays (0-based involutions, one row per gluing) for the
     class-all or class-O shard with partner(0) = fp.  This is a transposed
-    view: the array beneath holds one contiguous row per point."""
+    view: the array beneath (``out`` when given) holds one contiguous row
+    per point."""
     o_only = cls is DiagramClass.O
-    return _lift(_matching_table(n - 1, o_only), fp, o_only).T
+    return _lift(_matching_table(n - 1, o_only), fp, o_only, out).T
 
 
-def _shard_task(args: tuple) -> tuple:
-    """One shard of the census; module level so worker processes can run it.
+def _run_matchings(n: int, fps: tuple[int, ...], cls: DiagramClass) -> np.ndarray:
+    """The shards with these first partners side by side, one row per
+    point and one column per gluing, shard after shard.  A one-shard run is
+    the lifted shard itself; a longer one lifts each shard into its columns."""
+    if len(fps) == 1:
+        return _shard_matchings(n, fps[0], cls).T
+    width = _matching_table(n - 1, cls is DiagramClass.O).shape[1]
+    out = np.empty((2 * n, width * len(fps)), dtype=np.int8)
+    for j, fp in enumerate(fps):
+        _shard_matchings(n, fp, cls, out[:, j * width : (j + 1) * width])
+    return out
 
-    Reads the shard as one contiguous row per point (the transpose of
-    ``_shard_matchings``, which costs no copy), so one point of every
-    gluing is one contiguous read.  Each row is first turned in place into
-    clockwise spans, S[i] = (partner(i) - i) mod 2n: rotating a gluing by s
-    shifts its span word cyclically by s, and where two partner arrays first
-    differ both partners lie past that point, so span words order gluings
-    as partner arrays do.  A rotation is then a re-indexing of rows.
-    Returns (rows, orbit_count, fixed_counts, orbit_size_sum,
-    orbit_records); the records list is empty unless ``keep_orbits``.
+
+def _shard_task(args: tuple) -> list[tuple]:
+    """A run of consecutive shards of the census, in one kernel pass; module
+    level so worker processes can run it.
+
+    ``args`` is (n, class value, first partners of the run's shards, shifts,
+    keep_orbits).  The run is read as one contiguous row per point (the
+    transpose of ``_shard_matchings``, which costs no copy), so one point of
+    every gluing is one contiguous read.  Each row is first turned in place
+    into clockwise spans, S[i] = (partner(i) - i) mod 2n: rotating a gluing
+    by s shifts its span word cyclically by s, and where two partner arrays
+    first differ both partners lie past that point, so span words order
+    gluings as partner arrays do.  A rotation is then a re-indexing of rows.
+    Point 0's span is each column's own first partner, so one pass serves
+    every shard of the run.
+
+    Only a gluing some shift fixes has a stabilizer above 1, so stabilizers
+    and orbit sizes are finished from the fixed (gluing, shift) pairs alone.
+    Returns one (rows, orbit_count, fixed_counts, orbit_size_sum,
+    orbit_records) tuple per shard, in run order; the records list is empty
+    unless ``keep_orbits``.
     """
-    n, cls_value, fp, shifts, keep_orbits = args
+    n, cls_value, fps, shifts, keep_orbits = args
     pts = 2 * n
-    S = _shard_matchings(n, fp, DiagramClass(cls_value)).T.view(np.uint8)
+    S = _run_matchings(n, fps, DiagramClass(cls_value)).view(np.uint8)
     rows = S.shape[1]
     eq, lt = np.empty(rows, dtype=bool), np.empty(rows, dtype=bool)
     # (p - i) mod 256, then min(x, x + 2n) wraps the negatives to mod 2n.
     wrap = np.empty(rows, dtype=np.uint8)
-    for i, row in enumerate(S[1:], 1):  # point 0's span is fp, its partner
+    for i, row in enumerate(S[1:], 1):  # point 0's span is its partner
         row -= i
         np.add(row, pts, out=wrap)
         np.minimum(row, wrap, out=row)
     del wrap
     not_min = np.zeros(rows, dtype=bool)
-    stab = np.ones(rows, dtype=np.uint8)  # group order <= 2 * _MAX_ENGINE_ORDER = 64
     # Span i of gluing r rotated by s is S[i - s, r].  Each shift compares
-    # points 0 and 1 over the whole shard, then steps point by point,
-    # keeping only the gluings equal so far.  Once at most _MERGE_ROWS are
-    # left (or none differed anywhere), they wait to be finished with every
-    # other shift's.
+    # points 0 and 1 over the whole run, then steps point by point, keeping
+    # only the gluings equal so far.  Once at most _MERGE_ROWS are left (or
+    # none differed anywhere), they wait to be finished with every other
+    # shift's.
     rest_rows, rest_shift = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     for s in shifts:
-        # (S[-s], S[1 - s]) against (fp, S[1]), lexicographically.
+        # (S[-s], S[1 - s]) against (S[0], S[1]), lexicographically.
         head, second = S[-s], S[1 - s]
-        np.equal(head, fp, out=eq)
+        np.equal(head, S[0], out=eq)
         np.less(second, S[1], out=lt)
         lt &= eq
         not_min |= lt
-        np.less(head, fp, out=lt)
+        np.less(head, S[0], out=lt)
         not_min |= lt
         np.equal(second, S[1], out=lt)
         eq &= lt
@@ -317,23 +348,43 @@ def _shard_task(args: tuple) -> tuple:
     rot, base = rot[at], base[at]
     not_min[alive[rot < base]] = True
     same = rot == base
-    fixed = np.bincount(shift[same], minlength=pts)[shifts].tolist()
-    np.add.at(stab, alive[same], 1)
+    alive, shift = alive[same], shift[same]
 
-    canon = ~not_min
-    orbit_count = int(canon.sum())
+    runs, width = len(fps), rows // len(fps)
+    fixed = np.bincount(alive // width * pts + shift, minlength=runs * pts)
+    fixed = fixed.reshape(runs, pts)[:, shifts].tolist()
     group_order = len(shifts) + 1
-    stabs = stab[canon]
-    if not np.all(group_order % stabs == 0):
+    # Only a fixed gluing has a stabilizer above 1: the identity plus every
+    # shift that fixes it.  Fixed pairs are few, so a Counter tallies them as
+    # fast as np.unique, whose first call alone maps about 0.5 MB of numpy.
+    fixes = collections.Counter(alive.tolist())
+    fixed_rows = np.array(list(fixes), dtype=np.intp)
+    stabs = np.array(list(fixes.values()), dtype=np.intp) + 1
+    if np.any(group_order % stabs):
         raise AssertionError("stabilizer order does not divide group order")
-    size_sum = int((group_order // stabs).sum())
-    records = []
+    canon = ~not_min[fixed_rows]
+    fixed_rows, stabs = fixed_rows[canon], stabs[canon]
+    # count_nonzero without an axis counts in C; with one it builds and sums
+    # a temporary.
+    not_min = not_min.reshape(runs, width)
+    orbit_counts = np.array([width - np.count_nonzero(shard) for shard in not_min])
+    # group_order gluings an orbit, less where the stabilizer is above 1
+    size_sums = group_order * orbit_counts
+    np.subtract.at(size_sums, fixed_rows // width, group_order - group_order // stabs)
+    records: list[list[tuple]] = [[] for _ in fps]
     if keep_orbits:
-        partners = (np.arange(pts)[:, None] + S[:, canon]) % pts
-        for row, st in zip(partners.T, stabs):
+        reps = np.flatnonzero(~not_min.ravel())
+        partners = (np.arange(pts)[:, None] + S[:, reps]) % pts
+        for r, row in zip(reps.tolist(), partners.T):
+            st = fixes[r] + 1
             chords = tuple((i + 1, int(row[i]) + 1) for i in range(pts) if i < row[i])
-            records.append((chords, group_order // int(st), int(st)))
-    return (rows, orbit_count, fixed, size_sum, records)
+            records[r // width].append((chords, group_order // st, st))
+    return [
+        (width, orbits, shard_fixed, size_sum, shard_records)
+        for orbits, shard_fixed, size_sum, shard_records in zip(
+            orbit_counts.tolist(), fixed, size_sums.tolist(), records
+        )
+    ]
 
 
 def _resolve_budget(budget: Optional[int]) -> int:
@@ -424,27 +475,32 @@ def orbit_census(
     if keep_orbits is None:
         keep_orbits = n <= 6
     shifts, group_order = _group_shifts(n, full_rotation_group)
-    tasks = [
-        (n, diagram_class.value, fp, shifts, keep_orbits)
-        for fp in _shard_first_partners(n, diagram_class)
-    ]
-
+    fps = _shard_first_partners(n, diagram_class)
     # a pool forks all its workers up front
-    workers = min(workers, len(tasks)) if work >= _POOL_MIN_GLUINGS else 1
+    workers = min(workers, len(fps)) if work >= _POOL_MIN_GLUINGS else 1
+    # In-process, consecutive shards run as one kernel task of at most
+    # _RUN_COLUMNS gluings (every shard holds work // len(fps)); a pool
+    # takes one shard per task.
+    per_task = 1 if workers > 1 else max(1, _RUN_COLUMNS // (work // len(fps)))
+    tasks = [
+        (n, diagram_class.value, tuple(fps[i : i + per_task]), shifts, keep_orbits)
+        for i in range(0, len(fps), per_task)
+    ]
     total = orbit_count = size_sum = 0
     fixed = [0] * len(shifts)
     records: list[tuple] = []
     with ExitStack() as stack:
         stack.callback(_matching_table.cache_clear)  # no table outlives the pass
         if workers == 1:
-            shards = map(_shard_task, tasks)
+            runs = map(_shard_task, tasks)
         else:
             from concurrent.futures import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(max_workers=workers)
             # On any exception, drop the shards not yet started and join the workers.
             stack.callback(pool.shutdown, cancel_futures=True)
-            shards = pool.map(_shard_task, tasks)
+            runs = pool.map(_shard_task, tasks)
+        shards = itertools.chain.from_iterable(runs)
         for rows, oc, shard_fixed, ss, shard_records in shards:
             total += rows
             orbit_count += oc
@@ -500,7 +556,10 @@ def count_fixed(
 
     k must be an even shift in 1..2n (even rotations are the color
     preserving ones); k = 2n is the identity and fixes the whole class.
-    The count is read from the ``fixed_counts`` of one ``orbit_census``.
+    The count is read from the ``fixed_counts`` of one ``orbit_census``, so
+    each call costs a whole census of the class: a caller that needs
+    several shifts should run ``orbit_census`` once and read its
+    ``fixed_counts``.
     """
     n, k = _integer(n, "diagram order", 1), _integer(k, "rotation shift")
     if k % 2 != 0 or not 1 <= k <= 2 * n:

@@ -23,10 +23,13 @@ Function map (b = boundary of what each one counts):
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields
+from typing import Iterator
 
 from .errors import (
     DivisibilityError,
@@ -67,7 +70,11 @@ def double_factorial(m: int) -> int:
 
 def euler_phi(q: int) -> int:
     """Euler's totient by trial-division factorization; phi(1) = 1."""
-    q = _integer(q, "totient argument", 1)
+    return _totient(_integer(q, "totient argument", 1))
+
+
+@functools.lru_cache(maxsize=1024)
+def _totient(q: int) -> int:
     out = q
     p = 2
     while p * p <= q:
@@ -115,15 +122,24 @@ def uncolored_fixed(n: int, k: int) -> int:
     n, k = _integer(n, "diagram order", 1), _integer(k, "rotation k")
     if k < 1 or (2 * n) % k != 0:
         raise NonDivisorError(f"need k | 2n, got k={k}, n={n}")
-    q = 2 * n // k
-    if q % 2 == 1:
-        return double_factorial(k - 1) * q ** (k // 2)
-    total = 0
-    term = 1  # C(k, 2r) * (2r-1)!! * q**r; each term is the last times an exact ratio
-    for r in range(k // 2 + 1):
-        total += term
-        term = term * (k - 2 * r) * (k - 2 * r - 1) * q // (2 * r + 2)
-    return total
+    return next(itertools.islice(_fixed_series(2 * n // k), k, None))
+
+
+def _fixed_series(q: int) -> Iterator[int]:
+    """Matchings of k*q points fixed by rotation k, for k = 0, 1, 2, ...:
+    ``uncolored_fixed(k*q // 2, k)`` where k*q is even, 0 where it is odd.
+
+    Rotation by k splits the points into k classes of q.  A fixed matching
+    joins point 0's class to itself by diameters (one way, for even q only)
+    or to one of the k - 1 other classes (q ways), and the rest is a fixed
+    matching of the classes left: a_k = [q even] a_(k-1) + (k-1) q a_(k-2),
+    the closed forms in ``uncolored_fixed``'s docstring.
+    """
+    self_paired = 1 - q % 2
+    before, last = 0, 1
+    for k in itertools.count():
+        yield last
+        before, last = last, self_paired * last + k * q * before
 
 
 def o_fixed(n: int, i: int) -> int:
@@ -149,7 +165,7 @@ def _cyclic_orbits(order: int, fixed_by, what: str) -> int:
     ``fixed_by(d)``, for d dividing ``order``, counts what the d-th power of
     a generator fixes; the phi(order/d) elements of order order/d all fix
     that many."""
-    acc = sum(euler_phi(order // d) * fixed_by(d) for d in _divisors(order))
+    acc = sum(_totient(order // d) * fixed_by(d) for d in _divisors(order))
     return _burnside(acc, order, what)
 
 
@@ -242,10 +258,20 @@ def build_table(n_min: int, n_max: int) -> CountTable:
     n_min, n_max = _integer(n_min, "n_min"), _integer(n_max, "n_max")
     if n_min < 1 or n_min > n_max:
         raise InvalidArgumentError(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
+    # q -> (its _fixed_series, the k of the term read last).  For one q,
+    # k = 2n/q grows with n, so each series is walked once.
+    walks: dict[int, tuple] = {}
+
+    def fixed_count(n: int, k: int) -> int:
+        q = 2 * n // k
+        terms, at = walks.get(q) or (_fixed_series(q), -1)
+        walks[q] = terms, k
+        return next(itertools.islice(terms, k - at - 1, None))
+
     rows = []
     for n in range(n_min, n_max + 1):
         # k = 2m gives colored_fixed(n, m), and k = 2n the class size
-        fixed = {k: uncolored_fixed(n, k) for k in _divisors(2 * n)}
+        fixed = {k: fixed_count(n, k) for k in _divisors(2 * n)}
         dds = _cyclic_orbits(n, lambda m: fixed[2 * m], f"colored_classes({n})")
         do = o_classes(n)
         rows.append(

@@ -27,6 +27,7 @@ arcs by their odd endpoint, white arcs by their even endpoint.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Union
@@ -202,6 +203,12 @@ def _boundary_walk(
     return b_cycles, w_cycles
 
 
+# Steps are built by tuple.__new__ from their field tuples, skipping the
+# NamedTuple constructor's Python-level argument handling.
+_arc_step = functools.partial(tuple.__new__, ArcStep)
+_chord_step = functools.partial(tuple.__new__, ChordStep)
+
+
 def _decorate(arcs: list[int], color: Color, partner: list[int], pts: int) -> Cycle:
     steps: list[Step] = []
     for s in arcs:
@@ -209,8 +216,8 @@ def _decorate(arcs: list[int], color: Color, partner: list[int], pts: int) -> Cy
             enter, exit_ = s, s % pts + 1
         else:
             enter, exit_ = -s % pts + 1, -s
-        steps.append(ArcStep(enter, exit_, color))
-        steps.append(ChordStep(exit_, partner[exit_]))
+        steps.append(_arc_step((enter, exit_, color)))
+        steps.append(_chord_step((exit_, partner[exit_])))
     return Cycle(color, tuple(steps))
 
 

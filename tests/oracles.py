@@ -177,5 +177,23 @@ def slow_totient(q: int) -> int:
     return sum(1 for r in range(1, q + 1) if gcd(r, q) == 1)
 
 
+def uncolored_fixed_sum(n: int, k: int) -> int:
+    """Matchings of 2n points fixed by rotation k (k | 2n), summed explicitly.
+
+    Rotation k splits the points into k classes of q = 2n/k.  Choose 2r
+    classes to pair off, C(k, 2r) ways; pair them, (2r-1)!! ways; join each
+    pair of classes, q ways.  Each of the other k - 2r classes is matched
+    across its own diameters, one way for even q and none for odd q.
+    """
+    from math import comb, prod
+
+    q = 2 * n // k
+    self_matched = 1 if q % 2 == 0 else 0
+    return sum(
+        comb(k, 2 * r) * prod(range(2 * r - 1, 0, -2)) * q**r * self_matched ** (k - 2 * r)
+        for r in range(k // 2 + 1)
+    )
+
+
 def exact_average(values: list[int]) -> Fraction:
     return Fraction(sum(values), len(values))

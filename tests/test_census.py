@@ -75,13 +75,14 @@ def shard_counts(n: int, cls: DiagramClass, fp: int, shifts: list[int]) -> tuple
     first partner (there is none when fp is even), as the class-N census
     and its progress marks take it."""
     if cls is not DiagramClass.N:
-        return _shard_task((n, cls.value, fp, shifts, True))
-    rows, orbit_count, fixed, size_sum, records = _shard_task(
-        (n, DiagramClass.ALL.value, fp, shifts, True)
+        [shard] = _shard_task((n, cls.value, (fp,), shifts, True))
+        return shard
+    [(rows, orbit_count, fixed, size_sum, records)] = _shard_task(
+        (n, DiagramClass.ALL.value, (fp,), shifts, True)
     )
     if fp % 2:
-        o_rows, o_count, o_fixed, o_sum, _ = _shard_task(
-            (n, DiagramClass.O.value, fp, shifts, False)
+        [(o_rows, o_count, o_fixed, o_sum, _)] = _shard_task(
+            (n, DiagramClass.O.value, (fp,), shifts, False)
         )
         rows, orbit_count, size_sum = rows - o_rows, orbit_count - o_count, size_sum - o_sum
         fixed = [a - b for a, b in zip(fixed, o_fixed)]
@@ -379,7 +380,7 @@ class TestShardTask:
                 for full in (False, True):
                     shifts, _ = _group_shifts(7, full)
                     for fp in _shard_first_partners(7, cls):
-                        task = _shard_task((7, cls.value, fp, shifts, True))
+                        [task] = _shard_task((7, cls.value, (fp,), shifts, True))
                         digest.update(repr(task).encode())
         finally:
             _matching_table.cache_clear()
@@ -393,7 +394,7 @@ class TestShardTask:
         _matching_table.cache_clear()
         tracemalloc.start()
         try:
-            _shard_task((n, DiagramClass.ALL.value, 1, shifts, False))
+            _shard_task((n, DiagramClass.ALL.value, (1,), shifts, False))
             _, peak = tracemalloc.get_traced_memory()
             table = _matching_table(n - 1, False)
         finally:
@@ -408,7 +409,7 @@ class TestShardTask:
         _matching_table.cache_clear()
         tracemalloc.start()
         try:
-            _shard_task((n, DiagramClass.O.value, 1, shifts, False))
+            _shard_task((n, DiagramClass.O.value, (1,), shifts, False))
             _, peak = tracemalloc.get_traced_memory()
             table = _matching_table(n - 1, True)
         finally:
@@ -416,6 +417,76 @@ class TestShardTask:
             _matching_table.cache_clear()
         rows = table.shape[1]
         assert peak < table.nbytes + rows * 2 * n + 20 * rows
+
+
+class TestRuns:
+    """In-process, consecutive shards run as one kernel task, and each shard
+    keeps the tuple it has when run alone."""
+
+    @pytest.fixture
+    def run_sizes(self, monkeypatch) -> list[int]:
+        """Shards in each kernel task a census runs, in order."""
+        sizes = []
+        original = census_mod._shard_task
+
+        def recording(args):
+            sizes.append(len(args[2]))
+            return original(args)
+
+        monkeypatch.setattr(census_mod, "_shard_task", recording)
+        return sizes
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("cls", [DiagramClass.ALL, DiagramClass.O])
+    @pytest.mark.parametrize("full", [False, True], ids=["even", "full"])
+    def test_every_run_splits_into_its_shards(self, n, cls, full):
+        shifts, _ = _group_shifts(n, full)
+        fps = _shard_first_partners(n, cls)
+        try:
+            alone = [_shard_task((n, cls.value, (fp,), shifts, True))[0] for fp in fps]
+            for i in range(len(fps)):
+                for j in range(i + 1, len(fps) + 1):
+                    run = _shard_task((n, cls.value, tuple(fps[i:j]), shifts, True))
+                    assert repr(run) == repr(alone[i:j])  # same values and types
+        finally:
+            _matching_table.cache_clear()
+
+    # 0: one shard per run.  10**9: one run per census.
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize(
+        "cls", [DiagramClass.ALL, DiagramClass.O, DiagramClass.N]
+    )
+    @pytest.mark.parametrize("full", [False, True], ids=["even", "full"])
+    def test_census_same_for_any_run_width(self, n, cls, full, monkeypatch):
+        results = []
+        for run_columns in (0, 10**9):
+            monkeypatch.setattr(census_mod, "_RUN_COLUMNS", run_columns)
+            calls = []
+            census = orbit_census(
+                n,
+                cls,
+                keep_orbits=n <= 7,
+                full_rotation_group=full,
+                progress=lambda *done: calls.append(done),
+            )
+            results.append((census, calls))
+        assert results[0] == results[1]
+
+    def test_runs_hold_at_most_run_columns(self, run_sizes, monkeypatch):
+        # n = 6: 11 class-all shards of 945 gluings, 6 class-O shards of 120
+        monkeypatch.setattr(census_mod, "_RUN_COLUMNS", 3 * 945)
+        orbit_census(6)
+        orbit_census(6, DiagramClass.O)
+        assert run_sizes == [3, 3, 3, 2, 6]
+        monkeypatch.setattr(census_mod, "_RUN_COLUMNS", 944)  # below one shard
+        orbit_census(6)
+        assert run_sizes[5:] == [1] * 11
+
+    def test_pool_tasks_are_single_shards(self, run_sizes, pools, pool_always, monkeypatch):
+        monkeypatch.setattr(census_mod, "_RUN_COLUMNS", 10**9)
+        assert orbit_census(6, workers=2) == orbit_census(6)
+        assert pools == [2]
+        assert run_sizes == [1] * 11 + [11]
 
 
 class TestOrbitCensus:

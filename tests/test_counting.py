@@ -30,7 +30,7 @@ from chord_census import (
     uncolored_fixed,
 )
 
-from oracles import slow_totient
+from oracles import slow_totient, uncolored_fixed_sum
 
 # reference class-count tables, n = 2..11
 COLORED_TABLE = [3, 7, 35, 193, 1799, 19311, 254143, 3828921, 65486307, 1249937335]
@@ -146,6 +146,12 @@ class TestFixedPointFormulas:
                 if 2 * n % k == 0:
                     assert uncolored_fixed(n, k) == fixed(k, 2 * n // k)
 
+    @pytest.mark.parametrize("n", range(1, 81))
+    def test_uncolored_fixed_matches_explicit_sum(self, n):
+        for k in range(1, 2 * n + 1):
+            if 2 * n % k == 0:
+                assert uncolored_fixed(n, k) == uncolored_fixed_sum(n, k)
+
     def test_uncolored_non_divisor_rejected(self):
         with pytest.raises(NonDivisorError):
             uncolored_fixed(4, 3)
@@ -226,6 +232,12 @@ class TestBuildTable:
             assert row.d_double_star >= row.d_o
             assert row.total == total_gluings(row.n)
             assert row.o_total == total_o_gluings(row.n)
+
+    def test_late_start_matches_full_table(self):
+        # A table not starting at n = 1 still reads each series from its start.
+        full = build_table(1, 200).rows
+        assert build_table(150, 160).rows == full[149:160]
+        assert build_table(200, 200).rows == full[199:]
 
     def test_first_row(self):
         row = build_table(1, 1).rows[0]

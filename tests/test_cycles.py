@@ -103,11 +103,14 @@ class TestSmallCases:
 
 
 class TestAgainstCornerOracle:
-    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_exhaustive(self, n):
         for m in all_matchings(n):
             g = normalize([tuple(p) for p in m])
             dec = trace_cycles(g)
+            for c in dec.b_cycles + dec.w_cycles:  # exact types, not look-alike tuples
+                kinds = [type(s) for s in c.steps]
+                assert kinds == [ArcStep, ChordStep] * (len(kinds) // 2)
             traced = sorted(
                 (sorted(c.arc_ids()), tuple(sorted((min(s), max(s)) for s in
                  ((x.start, x.end) for x in c.chords()))))
