@@ -15,8 +15,11 @@ The same order partitions the stream into independent shards keyed by the
 partner of point 1, which is how the census parallelizes.  Shards are not
 enumerated: deleting point 1 and its partner leaves a matching of 2n-2
 points (class O: an O-matching), so each shard is one table of those,
-relabelled by int8 arithmetic, plus the chord at point 1.  The table lives
-for one census.
+relabelled by int8 arithmetic, plus the chord at point 1.  One operation,
+the lift, adds that chord for a list of first partners, one block of
+columns each: the table is built level by level, each level the last lifted
+by every first partner, and a run of shards is the table lifted by the
+run's first partners.  The table lives for one census.
 
 The table and every shard are stored one row per point: row i holds the
 int8 partner of point i in each matching, one matching per column.  So
@@ -28,22 +31,23 @@ opens a new orbit exactly when it *is* the lexicographic minimum of its
 rotation orbit, so counting minima counts orbits.
 
 The kernel's unit of work is a run: consecutive shards side by side, one
-column per gluing.  In-process, shards are packed into runs of at most
-2^15 gluings, so the small shards of a small census share one kernel pass;
-a process pool gets one shard per task.  The kernel reads a run as
-clockwise spans, (partner(i) - i) mod 2n per point, which makes canonicity
-a least-rotation (necklace) test on the span word and a rotation a
-re-indexing of rows.  Each shift compares a run's first two points with
-its rotation's over whole rows, then steps point by point, keeping only
-the gluings equal so far; few gluings get past point 1.  Once a shift has
-few gluings left, it stops stepping alone.  One merged compare then
-finishes every shift's survivors, those compared to the end alone
-included, as (gluing, shift) pairs compared at every point in one array
-operation: a fixed number of numpy calls per run.  Pairs equal to the end
-are fixed, which gives the fixed-point counts; only fixed gluings have a
-stabilizer above 1, so stabilizers and orbit sizes are finished from those
-pairs alone.  Every count is split back by shard, so each shard reports
-what it would alone.  Orbit representatives are collected on request.
+column per gluing.  Shards are packed into runs of at most 2^15 gluings,
+so the small shards of a small census share one kernel pass; a census big
+enough for a process pool has wider shards, so each pool task is one
+shard.  The kernel reads a run as clockwise spans, (partner(i) - i) mod 2n
+per point, which makes canonicity a least-rotation (necklace) test on the
+span word and a rotation a re-indexing of rows.  Each shift compares a
+run's first two points with its rotation's over whole rows, then steps
+point by point, keeping only the gluings equal so far; few gluings get
+past point 1.  Once a shift has few gluings left, it stops stepping
+alone.  One merged compare then finishes every shift's survivors, those
+compared to the end alone included, as (gluing, shift) pairs compared at
+every point in one array operation: a fixed number of numpy calls per run.
+Pairs equal to the end are fixed, which gives the fixed-point counts; only
+fixed gluings have a stabilizer above 1, so stabilizers and orbit sizes are
+finished from those pairs alone.  Every count is split back by shard, so
+each shard reports what it would alone.  Orbit representatives are
+collected on request.
 
 ``orbit_census`` is the only entry into the engine: one pass per (n, class,
 group) yields the orbit count, the class size and the fixed count of every
@@ -66,7 +70,7 @@ import itertools
 import os
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -94,7 +98,7 @@ _MAX_ENGINE_ORDER = 32
 _TAIL_POINTS = 6  # memo size vs speed: 8 points is faster, but its memo is ~8x larger
 _MERGE_ROWS = 64  # survivors of one shift few enough to finish with the other shifts'
 _POOL_MIN_GLUINGS = 10**7  # below this, forking a pool costs more than it saves
-_RUN_COLUMNS = 1 << 15  # gluings of one in-process kernel task made of several shards
+_RUN_COLUMNS = 1 << 15  # gluings of one kernel task made of several shards
 
 ProgressFn = Callable[[int, int], None]  # (gluings processed, orbits found)
 
@@ -202,38 +206,39 @@ class FixedPointCount:
 # ---------------------------------------------------------------------------
 
 
-def _shard_first_partners(n: int, cls: DiagramClass) -> list[int]:
-    """0-based partners of point 0, one shard each."""
-    return list(range(1, 2 * n, 2 if cls is DiagramClass.O else 1))
+def _first_partners(pts: int, o_only: bool) -> range:
+    """0-based partners that point 0 can take among ``pts`` points (class O:
+    the odd ones), ascending."""
+    return range(1, pts, 1 + o_only)
 
 
-def _lift(
-    T: np.ndarray, fp: int, o_only: bool, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _lift(T: np.ndarray, fps: Sequence[int], o_only: bool) -> np.ndarray:
     """Add the chord (0, fp) to every matching of the table ``T`` (one row
-    per point, one column per matching).  The other labels keep their order
-    (class O: their order within each parity), so the columns keep ``T``'s
-    order.  Each table row is relabelled into its destination row of
-    ``out`` in place, so no temporary outgrows one row."""
-    width, rows = T.shape
-    if out is None:
-        out = np.empty((width + 2, rows), dtype=np.int8)
-    out[0] = fp
-    out[fp] = 0
-    for j, src in enumerate(T):
-        # dst = src + shift, the shift written first as bytes (a bool is 0 or 1).
-        if not o_only:  # labels at or past fp - 1 move up two, the rest one
-            dst = out[j + 1 if j < fp - 1 else j + 2]
-            np.greater_equal(src, fp - 1, out=dst.view(np.bool_))
-            dst += 1
-        elif j % 2:  # odd point, even partners: every label moves up two
-            dst = out[j if j < fp else j + 2]
-            dst.fill(2)
-        else:  # even point, odd partners: labels past fp move up two
-            dst = out[j + 2]
-            np.greater_equal(src, fp, out=dst.view(np.bool_))
-            dst += dst
-        dst += src
+    per point, one column per matching), one block of ``T``'s columns per fp
+    of ``fps``, side by side in that order.  The other labels keep their
+    order (class O: their order within each parity), so each block keeps
+    ``T``'s column order.  Each table row is relabelled into its destination
+    row in place, so no temporary outgrows one row."""
+    rows, cols = T.shape
+    out = np.empty((rows + 2, cols * len(fps)), dtype=np.int8)
+    for b, fp in enumerate(fps):
+        block = out[:, b * cols : (b + 1) * cols]
+        block[0] = fp
+        block[fp] = 0
+        for j, src in enumerate(T):
+            # dst = src + shift, the shift written first as bytes (a bool is 0 or 1).
+            if not o_only:  # labels at or past fp - 1 move up two, the rest one
+                dst = block[j + 1 if j < fp - 1 else j + 2]
+                np.greater_equal(src, fp - 1, out=dst.view(np.bool_))
+                dst += 1
+            elif j % 2:  # odd point, even partners: every label moves up two
+                dst = block[j if j < fp else j + 2]
+                dst.fill(2)
+            else:  # even point, odd partners: labels past fp move up two
+                dst = block[j + 2]
+                np.greater_equal(src, fp, out=dst.view(np.bool_))
+                dst += dst
+            dst += src
     return out
 
 
@@ -241,41 +246,13 @@ def _lift(
 def _matching_table(k: int, o_only: bool) -> np.ndarray:
     """Partner arrays of every matching of 2k points (class O: every
     even-odd matching), read-only, one row per point and one column per
-    matching in shard order.  Each level is lifted into one array."""
+    matching in shard order.  Each level lifts the last by every first
+    partner."""
     T = np.zeros((0, 1), dtype=np.int8)
     for pts in range(2, 2 * k + 1, 2):
-        fps = range(1, pts, 1 + o_only)
-        rows = T.shape[1]
-        level = np.empty((pts, rows * len(fps)), dtype=np.int8)
-        for i, fp in enumerate(fps):
-            _lift(T, fp, o_only, level[:, i * rows : (i + 1) * rows])
-        T = level
+        T = _lift(T, _first_partners(pts, o_only), o_only)
     T.flags.writeable = False
     return T
-
-
-def _shard_matchings(
-    n: int, fp: int, cls: DiagramClass, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Partner arrays (0-based involutions, one row per gluing) for the
-    class-all or class-O shard with partner(0) = fp.  This is a transposed
-    view: the array beneath (``out`` when given) holds one contiguous row
-    per point."""
-    o_only = cls is DiagramClass.O
-    return _lift(_matching_table(n - 1, o_only), fp, o_only, out).T
-
-
-def _run_matchings(n: int, fps: tuple[int, ...], cls: DiagramClass) -> np.ndarray:
-    """The shards with these first partners side by side, one row per
-    point and one column per gluing, shard after shard.  A one-shard run is
-    the lifted shard itself; a longer one lifts each shard into its columns."""
-    if len(fps) == 1:
-        return _shard_matchings(n, fps[0], cls).T
-    width = _matching_table(n - 1, cls is DiagramClass.O).shape[1]
-    out = np.empty((2 * n, width * len(fps)), dtype=np.int8)
-    for j, fp in enumerate(fps):
-        _shard_matchings(n, fp, cls, out[:, j * width : (j + 1) * width])
-    return out
 
 
 def _shard_task(args: tuple) -> list[tuple]:
@@ -283,13 +260,13 @@ def _shard_task(args: tuple) -> list[tuple]:
     level so worker processes can run it.
 
     ``args`` is (n, class value, first partners of the run's shards, shifts,
-    keep_orbits).  The run is read as one contiguous row per point (the
-    transpose of ``_shard_matchings``, which costs no copy), so one point of
-    every gluing is one contiguous read.  Each row is first turned in place
-    into clockwise spans, S[i] = (partner(i) - i) mod 2n: rotating a gluing
-    by s shifts its span word cyclically by s, and where two partner arrays
-    first differ both partners lie past that point, so span words order
-    gluings as partner arrays do.  A rotation is then a re-indexing of rows.
+    keep_orbits).  The run is the order-(n-1) table lifted by those first
+    partners, one contiguous row per point, so one point of every gluing is
+    one contiguous read.  Each row is first turned in place into clockwise
+    spans, S[i] = (partner(i) - i) mod 2n: rotating a gluing by s shifts its
+    span word cyclically by s, and where two partner arrays first differ
+    both partners lie past that point, so span words order gluings as
+    partner arrays do.  A rotation is then a re-indexing of rows.
     Point 0's span is each column's own first partner, so one pass serves
     every shard of the run.
 
@@ -301,7 +278,8 @@ def _shard_task(args: tuple) -> list[tuple]:
     """
     n, cls_value, fps, shifts, keep_orbits = args
     pts = 2 * n
-    S = _run_matchings(n, fps, DiagramClass(cls_value)).view(np.uint8)
+    o_only = DiagramClass(cls_value) is DiagramClass.O
+    S = _lift(_matching_table(n - 1, o_only), fps, o_only).view(np.uint8)
     rows = S.shape[1]
     eq, lt = np.empty(rows, dtype=bool), np.empty(rows, dtype=bool)
     # (p - i) mod 256, then min(x, x + 2n) wraps the negatives to mod 2n.
@@ -475,13 +453,13 @@ def orbit_census(
     if keep_orbits is None:
         keep_orbits = n <= 6
     shifts, group_order = _group_shifts(n, full_rotation_group)
-    fps = _shard_first_partners(n, diagram_class)
+    fps = _first_partners(2 * n, diagram_class is DiagramClass.O)
     # a pool forks all its workers up front
     workers = min(workers, len(fps)) if work >= _POOL_MIN_GLUINGS else 1
-    # In-process, consecutive shards run as one kernel task of at most
-    # _RUN_COLUMNS gluings (every shard holds work // len(fps)); a pool
-    # takes one shard per task.
-    per_task = 1 if workers > 1 else max(1, _RUN_COLUMNS // (work // len(fps)))
+    # Consecutive shards run as one kernel task of at most _RUN_COLUMNS
+    # gluings (every shard holds work // len(fps)).  A census big enough for
+    # a pool has shards wider than that, so its tasks are single shards.
+    per_task = max(1, _RUN_COLUMNS // (work // len(fps)))
     tasks = [
         (n, diagram_class.value, tuple(fps[i : i + per_task]), shifts, keep_orbits)
         for i in range(0, len(fps), per_task)

@@ -29,7 +29,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from .errors import (
     DivisibilityError,
@@ -159,13 +159,13 @@ def _burnside(total_with_weights: int, group_order: int, what: str) -> int:
     return total_with_weights // group_order
 
 
-def _cyclic_orbits(order: int, fixed_by, what: str) -> int:
+def _cyclic_orbits(order: int, fixed: Mapping[int, int], what: str) -> int:
     """Orbits under a cyclic group of this order, by Burnside's lemma.
 
-    ``fixed_by(d)``, for d dividing ``order``, counts what the d-th power of
-    a generator fixes; the phi(order/d) elements of order order/d all fix
+    ``fixed`` maps each divisor d of ``order`` to what the d-th power of a
+    generator fixes; the phi(order/d) elements of order order/d all fix
     that many."""
-    acc = sum(_totient(order // d) * fixed_by(d) for d in _divisors(order))
+    acc = sum(_totient(order // d) * count for d, count in fixed.items())
     return _burnside(acc, order, what)
 
 
@@ -176,7 +176,8 @@ def colored_classes(n: int) -> int:
     ``n = 1`` gives 1 (the formula already does; no special case needed).
     """
     n = _integer(n, "diagram order", 1)
-    return _cyclic_orbits(n, lambda m: colored_fixed(n, m), f"colored_classes({n})")
+    fixed = {m: colored_fixed(n, m) for m in _divisors(n)}
+    return _cyclic_orbits(n, fixed, f"colored_classes({n})")
 
 
 def colored_classes_prime(p: int) -> int:
@@ -190,7 +191,8 @@ def o_classes(n: int) -> int:
     """Non-isomorphic O-diagrams; also the number of topologically distinct
     one-critical-point functions on oriented bordered surfaces of this size."""
     n = _integer(n, "diagram order", 1)
-    return _cyclic_orbits(n, lambda i: o_fixed(n, i), f"o_classes({n})")
+    fixed = {i: o_fixed(n, i) for i in _divisors(n)}
+    return _cyclic_orbits(n, fixed, f"o_classes({n})")
 
 
 def o_classes_prime(p: int) -> int:
@@ -208,7 +210,8 @@ def n_classes(n: int) -> int:
 def uncolored_classes(n: int) -> int:
     """Non-isomorphic uncolored diagrams under the full rotation group."""
     n = _integer(n, "diagram order", 1)
-    return _cyclic_orbits(2 * n, lambda k: uncolored_fixed(n, k), f"uncolored_classes({n})")
+    fixed = {k: uncolored_fixed(n, k) for k in _divisors(2 * n)}
+    return _cyclic_orbits(2 * n, fixed, f"uncolored_classes({n})")
 
 
 def _divisors(n: int) -> list[int]:
@@ -270,16 +273,18 @@ def build_table(n_min: int, n_max: int) -> CountTable:
 
     rows = []
     for n in range(n_min, n_max + 1):
-        # k = 2m gives colored_fixed(n, m), and k = 2n the class size
+        # k = 2m gives colored_fixed(n, m), and k = 2n the class size; the
+        # even divisors of 2n are the 2m for m dividing n
         fixed = {k: fixed_count(n, k) for k in _divisors(2 * n)}
-        dds = _cyclic_orbits(n, lambda m: fixed[2 * m], f"colored_classes({n})")
+        even = {k // 2: c for k, c in fixed.items() if k % 2 == 0}
+        dds = _cyclic_orbits(n, even, f"colored_classes({n})")
         do = o_classes(n)
         rows.append(
             CountRow(
                 n=n,
                 total=fixed[2 * n],
                 o_total=total_o_gluings(n),
-                d_star=_cyclic_orbits(2 * n, fixed.__getitem__, f"uncolored_classes({n})"),
+                d_star=_cyclic_orbits(2 * n, fixed, f"uncolored_classes({n})"),
                 d_double_star=dds,
                 d_o=do,
                 d_n=dds - do,

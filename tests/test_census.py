@@ -33,10 +33,10 @@ from chord_census import (
 from chord_census import census as census_mod
 from chord_census.cli import main
 from chord_census.census import (
+    _first_partners,
     _group_shifts,
+    _lift,
     _matching_table,
-    _shard_first_partners,
-    _shard_matchings,
     _shard_task,
 )
 
@@ -69,6 +69,18 @@ def partner_of_1(m) -> int:
     return next(max(p) for p in m if 1 in p)
 
 
+def shard_first_partners(n: int, cls: DiagramClass) -> range:
+    """0-based partners of point 0, one shard each (class N: class all's)."""
+    return _first_partners(2 * n, cls is DiagramClass.O)
+
+
+def shard_rows(n: int, fp: int, cls: DiagramClass) -> np.ndarray:
+    """The class-all or class-O shard with partner(0) = fp, one row per
+    gluing: the transpose of the table lifted by that one first partner."""
+    o_only = cls is DiagramClass.O
+    return _lift(_matching_table(n - 1, o_only), (fp,), o_only).T
+
+
 def shard_counts(n: int, cls: DiagramClass, fp: int, shifts: list[int]) -> tuple:
     """``_shard_task``'s tuple with orbit records.  Class N has no shard of
     its own: it is the class-all shard less the class-O shard with the same
@@ -98,7 +110,7 @@ def reference_shards(n: int, cls: DiagramClass, full: bool) -> dict[int, tuple]:
     pool = class_pool(n, cls)
     orbits = census_matchings(pool, pts, even_only=not full)
     out = {}
-    for fp in _shard_first_partners(n, cls):
+    for fp in shard_first_partners(n, cls):
         shard = [m for m in pool if partner_of_1(m) == fp + 1]
         reps = {k: size for k, size in orbits.items() if k[0] == (1, fp + 1)}
         out[fp] = (len(shard), reps, [count_fixed_matchings(shard, pts, s) for s in shifts])
@@ -294,8 +306,8 @@ class TestShardArrays:
         )
         expected = {as_matching(g) for g in stream}
         got = set()
-        for fp in _shard_first_partners(n, cls):
-            for row in _shard_matchings(n, fp, cls):
+        for fp in shard_first_partners(n, cls):
+            for row in shard_rows(n, fp, cls):
                 pairs = frozenset(
                     frozenset((i + 1, int(row[i]) + 1))
                     for i in range(2 * n)
@@ -319,12 +331,12 @@ class TestShardArrays:
         for m in class_pool(n, cls):
             row = partner_row(m, n)
             rows_of.setdefault(row[0], []).append(row)
-        for fp in _shard_first_partners(n, cls):
+        for fp in shard_first_partners(n, cls):
             if cls is DiagramClass.N:
-                M = _shard_matchings(n, fp, DiagramClass.ALL)
+                M = shard_rows(n, fp, DiagramClass.ALL)
                 M = M[((M + np.arange(2 * n)) % 2 == 0).any(axis=1)]
             else:
-                M = _shard_matchings(n, fp, cls)
+                M = shard_rows(n, fp, cls)
             expected = sorted(rows_of.get(fp, []), key=order)
             assert M.dtype == np.int8 and M.shape == (len(expected), 2 * n)
             assert [tuple(int(v) for v in row) for row in M] == expected
@@ -379,7 +391,7 @@ class TestShardTask:
             for cls in (DiagramClass.ALL, DiagramClass.O):
                 for full in (False, True):
                     shifts, _ = _group_shifts(7, full)
-                    for fp in _shard_first_partners(7, cls):
+                    for fp in shard_first_partners(7, cls):
                         [task] = _shard_task((7, cls.value, (fp,), shifts, True))
                         digest.update(repr(task).encode())
         finally:
@@ -420,8 +432,8 @@ class TestShardTask:
 
 
 class TestRuns:
-    """In-process, consecutive shards run as one kernel task, and each shard
-    keeps the tuple it has when run alone."""
+    """Consecutive shards run as one kernel task, in-process or in a pool,
+    and each shard keeps the tuple it has when run alone."""
 
     @pytest.fixture
     def run_sizes(self, monkeypatch) -> list[int]:
@@ -441,7 +453,7 @@ class TestRuns:
     @pytest.mark.parametrize("full", [False, True], ids=["even", "full"])
     def test_every_run_splits_into_its_shards(self, n, cls, full):
         shifts, _ = _group_shifts(n, full)
-        fps = _shard_first_partners(n, cls)
+        fps = shard_first_partners(n, cls)
         try:
             alone = [_shard_task((n, cls.value, (fp,), shifts, True))[0] for fp in fps]
             for i in range(len(fps)):
@@ -482,11 +494,35 @@ class TestRuns:
         orbit_census(6)
         assert run_sizes[5:] == [1] * 11
 
-    def test_pool_tasks_are_single_shards(self, run_sizes, pools, pool_always, monkeypatch):
-        monkeypatch.setattr(census_mod, "_RUN_COLUMNS", 10**9)
+    def test_pool_takes_the_same_tasks(self, run_sizes, pools, pool_always, monkeypatch):
+        monkeypatch.setattr(census_mod, "_RUN_COLUMNS", 3 * 945)
         assert orbit_census(6, workers=2) == orbit_census(6)
         assert pools == [2]
-        assert run_sizes == [1] * 11 + [11]
+        assert run_sizes == [3, 3, 3, 2] * 2
+
+    def test_pool_census_tasks_are_single_shards(self, pools, monkeypatch):
+        sizes = []
+
+        def stub(args):
+            n, cls_value, fps, shifts, _ = args
+            sizes.append(len(fps))
+            o_only = cls_value == DiagramClass.O.value
+            width = math.factorial(n - 1) if o_only else double_factorial(2 * n - 3)
+            return [(width, 0, [0] * len(shifts), width, [])] * len(fps)
+
+        monkeypatch.setattr(census_mod, "_shard_task", stub)
+        # the smallest class-all and class-O censuses that fork a pool
+        assert orbit_census(9, workers=2, budget=10**8).total_gluings == 34_459_425
+        o = orbit_census(11, DiagramClass.O, workers=2, budget=10**8)
+        assert o.total_gluings == 39_916_800
+        assert pools == [2, 2]
+        assert sizes == [1] * 17 + [1] * 11
+
+    def test_every_census_that_forks_has_shards_wider_than_a_run(self):
+        for n in range(1, census_mod._MAX_ENGINE_ORDER + 1):
+            for work, shards in ((double_factorial(2 * n - 1), 2 * n - 1), (math.factorial(n), n)):
+                if work >= census_mod._POOL_MIN_GLUINGS:
+                    assert work // shards > census_mod._RUN_COLUMNS
 
 
 class TestOrbitCensus:
@@ -626,7 +662,7 @@ class TestOrbitCensus:
             raise AssertionError("a shard was generated")
 
         with monkeypatch.context() as patch:
-            patch.setattr(census_mod, "_shard_matchings", no_shards)
+            patch.setattr(census_mod, "_lift", no_shards)
             with pytest.raises(BudgetExceededError):
                 orbit_census(6, DiagramClass.N, budget=10394)
         assert orbit_census(6, DiagramClass.N, budget=10395).orbit_count == 1663
@@ -650,7 +686,7 @@ class TestOrbitCensus:
         def no_shards(*args):
             raise AssertionError("a shard was generated")
 
-        monkeypatch.setattr("chord_census.census._shard_matchings", no_shards)
+        monkeypatch.setattr("chord_census.census._lift", no_shards)
         with pytest.raises(ValueError, match="n <= 32"):
             orbit_census(33, cls, budget=10**100)
         with pytest.raises(ValueError, match="n <= 32"):
@@ -663,21 +699,25 @@ class TestOrbitCensus:
     def test_worker_exception_propagates(self, monkeypatch, pool_always):
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("workers see the patched module only when forked")
-        original = census_mod._shard_matchings
+        monkeypatch.setattr(census_mod, "_RUN_COLUMNS", 0)  # one shard per task
+        original = census_mod._lift
 
-        def failing(n, fp, cls):
-            if fp == 3:
+        def failing(T, fps, o_only):
+            # 2n - 2 = 8 table rows: the lift of a run, not of a table level
+            if T.shape[0] == 8 and 3 in fps:
                 raise RuntimeError("shard 3 failed")
-            return original(n, fp, cls)
+            return original(T, fps, o_only)
 
-        monkeypatch.setattr(census_mod, "_shard_matchings", failing)
+        monkeypatch.setattr(census_mod, "_lift", failing)
         result = None
         with pytest.raises(RuntimeError, match="shard 3 failed"):
             result = orbit_census(5, workers=2)
         assert result is None
         assert multiprocessing.active_children() == []
 
-    def test_interrupt_from_progress_propagates(self, pool_always):
+    def test_interrupt_from_progress_propagates(self, pool_always, monkeypatch):
+        monkeypatch.setattr(census_mod, "_RUN_COLUMNS", 0)  # one shard per task
+
         def interrupt(done, orbits):
             raise KeyboardInterrupt
 
@@ -794,13 +834,13 @@ class TestBurnside:
 class TestEnginePasses:
     def test_verify_makes_one_engine_pass_per_class(self, capsys, monkeypatch):
         passes = []
-        original = census_mod._shard_first_partners
+        original = census_mod._charge_budget
 
-        def counted(n, cls):
+        def counted(n, cls, budget):
             passes.append((n, cls))
-            return original(n, cls)
+            return original(n, cls, budget)
 
-        monkeypatch.setattr(census_mod, "_shard_first_partners", counted)
+        monkeypatch.setattr(census_mod, "_charge_budget", counted)
         assert main(["verify", "--to", "4"]) == 0
         classes = (DiagramClass.ALL, DiagramClass.O)
         assert passes == [(n, cls) for n in range(2, 5) for cls in classes]

@@ -29,6 +29,7 @@ from chord_census import (
     uncolored_classes,
     uncolored_fixed,
 )
+from chord_census import counting as counting_mod
 
 from oracles import slow_totient, uncolored_fixed_sum
 
@@ -238,6 +239,14 @@ class TestBuildTable:
         full = build_table(1, 200).rows
         assert build_table(150, 160).rows == full[149:160]
         assert build_table(200, 200).rows == full[199:]
+
+    def test_finds_divisors_twice_a_row(self, monkeypatch):
+        # those of 2n for the fixed counts, and those of n inside o_classes
+        calls = []
+        original = counting_mod._divisors
+        monkeypatch.setattr(counting_mod, "_divisors", lambda n: calls.append(n) or original(n))
+        build_table(2, 200)
+        assert len(calls) == 2 * 199
 
     def test_first_row(self):
         row = build_table(1, 1).rows[0]
