@@ -6,11 +6,14 @@ gluing text).  Only the package's input errors map to 2; any other
 exception, a plain ``ValueError`` included, is a bug and surfaces as a
 traceback.  Long enumerations stream to stdout; progress, when asked
 for, goes to stderr.  JSON output is key-sorted so runs diff cleanly.
+Every command that prints one result goes through ``_emit``, which prints
+its record as JSON or its text lines, and builds only the view it prints.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import asdict
@@ -20,7 +23,7 @@ from . import counting
 from .census import _burnside_holds, _class_n, enumerate_gluings, enumerate_o_gluings, orbit_census
 # Unused here, but perfbench's traced verify run patches these names on this module.
 from .census import burnside_check, count_fixed  # noqa: F401
-from .cycles import surface_type, trace_cycles
+from .cycles import CycleDecomposition, surface_type, trace_cycles
 from .diagram import ColorDiagram, DiagramClass, Gluing, canonical_form, classify, isomorphic
 from .errors import (
     BudgetExceededError,
@@ -32,16 +35,14 @@ from .render import render_svg
 
 __all__ = ["main", "build_parser"]
 
-_CLASS_TOTALS = {
-    DiagramClass.ALL: counting.total_gluings,
-    DiagramClass.O: counting.total_o_gluings,
-    DiagramClass.N: lambda n: counting.total_gluings(n) - counting.total_o_gluings(n),
-}
-
-_CLASS_COUNTS = {
-    DiagramClass.ALL: counting.colored_classes,
-    DiagramClass.O: counting.o_classes,
-    DiagramClass.N: counting.n_classes,
+# class -> (its gluing total, its isomorphism-class count), both functions of n
+_CLASS_FORMULAS = {
+    DiagramClass.ALL: (counting.total_gluings, counting.colored_classes),
+    DiagramClass.O: (counting.total_o_gluings, counting.o_classes),
+    DiagramClass.N: (
+        lambda n: counting.total_gluings(n) - counting.total_o_gluings(n),
+        counting.n_classes,
+    ),
 }
 
 
@@ -52,16 +53,30 @@ def _class_arg(value: str) -> DiagramClass:
         raise argparse.ArgumentTypeError(f"class must be all, o or n, not {value!r}")
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
-
-
 def _key_values(record: dict) -> str:
     """The record as ``key=value`` words in its own order, booleans as in JSON."""
     return " ".join(
         f"{key}={str(value).lower() if isinstance(value, bool) else value}"
         for key, value in record.items()
     )
+
+
+def _aligned(rows: list[dict]):
+    """Yield ``rows`` as right-aligned columns under a header of their keys."""
+    grid = [list(rows[0]), *([str(value) for value in row.values()] for row in rows)]
+    widths = [max(map(len, column)) for column in zip(*grid)]
+    for cells in grid:
+        yield "  ".join(cell.rjust(width) for cell, width in zip(cells, widths))
+
+
+def _emit(args, record: dict, lines) -> None:
+    """Print ``record`` as JSON under ``--format json``, else each of ``lines``,
+    which is read only then, so a lazy iterable formats no unused text."""
+    if args.format == "json":
+        print(json.dumps(record, sort_keys=True, indent=2))
+    else:
+        for line in lines:
+            print(line)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,22 +133,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--progress", action="store_true", help="progress on stderr")
 
-    p = sub.add_parser("cycles", help="boundary cycles and surface type")
-    p.add_argument("gluing")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
-    p = sub.add_parser("canon", help="canonical form of a diagram")
-    p.add_argument("gluing")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
-    p = sub.add_parser("iso", help="are two diagrams isomorphic")
-    p.add_argument("gluing1")
-    p.add_argument("gluing2")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
-    p = sub.add_parser("classify", help="O or N class of a diagram")
-    p.add_argument("gluing")
-    p.add_argument("--format", choices=["text", "json"], default="text")
+    for name, about, gluings in (
+        ("cycles", "boundary cycles and surface type", ["gluing"]),
+        ("canon", "canonical form of a diagram", ["gluing"]),
+        ("iso", "are two diagrams isomorphic", ["gluing1", "gluing2"]),
+        ("classify", "O or N class of a diagram", ["gluing"]),
+    ):
+        p = sub.add_parser(name, help=about)
+        for gluing in gluings:
+            p.add_argument(gluing)
+        p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("verify", help="formulas versus brute force")
     p.add_argument("--to", dest="n_to", type=int, default=7)
@@ -148,15 +157,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_count(args) -> int:
-    n = args.n
-    cls = args.diagram_class
+    total, classes = _CLASS_FORMULAS[args.diagram_class]
     record = {
-        "n": n,
-        "class": cls.value,
-        "total_gluings": _CLASS_TOTALS[cls](n),
-        "classes": _CLASS_COUNTS[cls](n),
+        "n": args.n,
+        "class": args.diagram_class.value,
+        "total_gluings": total(args.n),
+        "classes": classes(args.n),
     }
-    print(_dump_json(record) if args.format == "json" else _key_values(record))
+    _emit(args, record, map(_key_values, [record]))
     return 0
 
 
@@ -164,19 +172,9 @@ def _cmd_table(args) -> int:
     table = counting.build_table(args.n_from, args.n_to)
     if args.format == "csv":
         sys.stdout.write(table.to_csv())
-    elif args.format == "json":
-        print(_dump_json(table.to_json_dict()))
     else:
-        header = ["n", "total", "o_total", "d_star", "d_double_star", "d_o", "d_n"]
-        rows = [
-            [str(getattr(r, h)) for h in header] for r in table.rows
-        ]
-        widths = [
-            max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(header)
-        ]
-        print("  ".join(h.rjust(w) for h, w in zip(header, widths)))
-        for row in rows:
-            print("  ".join(v.rjust(w) for v, w in zip(row, widths)))
+        record = table.to_json_dict()
+        _emit(args, record, _aligned(record["rows"]))
     return 0
 
 
@@ -206,11 +204,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    progress = None
-    if args.progress:
-
-        def progress(done: int, orbits: int) -> None:
-            print(f"processed={done} orbits={orbits}", file=sys.stderr)
+    def progress(done: int, orbits: int) -> None:
+        print(f"processed={done} orbits={orbits}", file=sys.stderr)
 
     census = orbit_census(
         args.n,
@@ -219,7 +214,7 @@ def _cmd_orbits(args) -> int:
         full_rotation_group=args.full_group,
         budget=args.budget,
         workers=args.workers,
-        progress=progress,
+        progress=progress if args.progress else None,
     )
     record = {
         "n": census.n,
@@ -228,66 +223,48 @@ def _cmd_orbits(args) -> int:
         "total_gluings": census.total_gluings,
         "orbit_count": census.orbit_count,
     }
-    if args.format == "json":
-        if args.orbit_reps:
-            record["orbits"] = [
-                {
-                    "representative": o.representative.text(),
-                    "size": o.size,
-                    "stabilizer_order": o.stabilizer_order,
-                }
-                for o in census.orbits
-            ]
-        print(_dump_json(record))
-    else:
-        print(_key_values(record))
-        if args.orbit_reps:
-            for o in census.orbits:
-                print(
-                    f"{o.representative.text()} size={o.size} "
-                    f"stabilizer={o.stabilizer_order}"
-                )
+    if args.format == "json" and args.orbit_reps:
+        record["orbits"] = [
+            {
+                "representative": o.representative.text(),
+                "size": o.size,
+                "stabilizer_order": o.stabilizer_order,
+            }
+            for o in census.orbits
+        ]
+    reps = (
+        f"{o.representative.text()} size={o.size} stabilizer={o.stabilizer_order}"
+        for o in census.orbits or ()
+    )
+    _emit(args, record, itertools.chain(map(_key_values, [record]), reps))
     return 0
 
 
 def _cmd_cycles(args) -> int:
     d = ColorDiagram(Gluing.parse(args.gluing))
     dec = trace_cycles(d)
-    surface = asdict(surface_type(d))
-    if args.format == "json":
-        print(_dump_json({**dec.to_json_dict(), "surface": surface}))
-    else:
-        print(dec.text())
-        lb, lw = dec.counts
-        print(f"lambda_b={lb} lambda_w={lw} lambda_total={dec.total}")
-        print(_key_values(surface))
+    record = {**dec.to_json_dict(), "surface": asdict(surface_type(d))}
+    lambdas = {key: record[key] for key in ("lambda_b", "lambda_w", "lambda_total")}
+    text = map(_key_values, [lambdas, record["surface"]])
+    _emit(args, record, itertools.chain(map(CycleDecomposition.text, [dec]), text))
     return 0
 
 
 def _cmd_canon(args) -> int:
-    form = canonical_form(Gluing.parse(args.gluing))
-    if args.format == "json":
-        print(_dump_json({"canonical_form": form.text()}))
-    else:
-        print(form.text())
+    form = canonical_form(Gluing.parse(args.gluing)).text()
+    _emit(args, {"canonical_form": form}, [form])
     return 0
 
 
 def _cmd_iso(args) -> int:
     answer = isomorphic(Gluing.parse(args.gluing1), Gluing.parse(args.gluing2))
-    if args.format == "json":
-        print(_dump_json({"isomorphic": answer}))
-    else:
-        print("true" if answer else "false")
+    _emit(args, {"isomorphic": answer}, ["true" if answer else "false"])
     return 0
 
 
 def _cmd_classify(args) -> int:
-    cls = classify(Gluing.parse(args.gluing))
-    if args.format == "json":
-        print(_dump_json({"class": cls.value}))
-    else:
-        print(cls.value.upper())
+    cls = classify(Gluing.parse(args.gluing)).value
+    _emit(args, {"class": cls}, map(str.upper, [cls]))
     return 0
 
 
@@ -302,14 +279,10 @@ def _verify_checks(n_to: int, budget, workers):
             for cls in (DiagramClass.ALL, DiagramClass.O)
         )
         censuses = {DiagramClass.ALL: every, DiagramClass.O: o, DiagramClass.N: _class_n(every, o)}
-        for cls, formula in _CLASS_COUNTS.items():
+        for cls, (total, classes) in _CLASS_FORMULAS.items():
             census = censuses[cls]
-            yield (f"classes n={n} class={cls.value}", formula(n), census.orbit_count)
-            yield (
-                f"stream total n={n} class={cls.value}",
-                _CLASS_TOTALS[cls](n),
-                census.total_gluings,
-            )
+            yield (f"classes n={n} class={cls.value}", classes(n), census.orbit_count)
+            yield (f"stream total n={n} class={cls.value}", total(n), census.total_gluings)
         fixed_all = dict(censuses[DiagramClass.ALL].fixed_counts)
         fixed_o = dict(censuses[DiagramClass.O].fixed_counts)
         for k in range(2, 2 * n + 1, 2):
@@ -337,21 +310,18 @@ def _cmd_verify(args) -> int:
     if args.n_to < 2:
         raise InvalidArgumentError(f"--to must be >= 2, got {args.n_to}")
     checks = []
-    failed = 0
     for label, expected, got in _verify_checks(args.n_to, args.budget, args.workers):
         ok = expected == got
         checks.append({"label": label, "ok": ok, "expected": expected, "got": got})
-        if not ok:
-            failed += 1
         if args.format == "text":
             mark = "ok  " if ok else "FAIL"
             detail = "" if ok else f" (expected {expected}, got {got})"
             print(f"{mark} {label}{detail}")
-    if args.format == "json":
-        print(_dump_json({"checks": checks, "passed": failed == 0}))
-    else:
-        print(f"{'PASS' if failed == 0 else 'FAIL'}: {len(checks) - failed}/{len(checks)} checks ok")
-    return 0 if failed == 0 else 1
+    passed = sum(check["ok"] for check in checks)
+    verdict = "PASS" if passed == len(checks) else "FAIL"
+    summary = map("{}: {}/{} checks ok".format, [verdict], [passed], [len(checks)])
+    _emit(args, {"checks": checks, "passed": verdict == "PASS"}, summary)
+    return 0 if verdict == "PASS" else 1
 
 
 def _cmd_render(args) -> int:

@@ -147,6 +147,11 @@ def o_fixed(n: int, i: int) -> int:
     n, i = _integer(n, "diagram order", 1), _integer(i, "divisor i")
     if i < 1 or n % i != 0:
         raise NonDivisorError(f"need i | n, got i={i}, n={n}")
+    return _o_fixed(n, i)
+
+
+def _o_fixed(n: int, i: int) -> int:
+    """``o_fixed`` for a checked order n and divisor i."""
     return math.factorial(i) * (n // i) ** i
 
 
@@ -191,7 +196,7 @@ def o_classes(n: int) -> int:
     """Non-isomorphic O-diagrams; also the number of topologically distinct
     one-critical-point functions on oriented bordered surfaces of this size."""
     n = _integer(n, "diagram order", 1)
-    fixed = {i: o_fixed(n, i) for i in _divisors(n)}
+    fixed = {i: _o_fixed(n, i) for i in _divisors(n)}
     return _cyclic_orbits(n, fixed, f"o_classes({n})")
 
 

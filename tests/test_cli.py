@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -27,6 +28,70 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Exact stdout of each command that prints one result: the line itself
+# where it is one line, else the sha256 of the whole output.
+GOLDEN = [
+    (["count", "--n", "5"], "text", "n=5 class=all total_gluings=945 classes=193\n"),
+    (["count", "--n", "5"], "json",
+     "46eba2e6f532e5b2f153faf20105b30626bcc5783da023e388382a4854bebabd"),
+    (["table", "--from", "2", "--to", "12"], "text",
+     "6644654c460e590298091894a52eeb0a740d80d83c6411c0f0e94a6eb03a15cf"),
+    (["table", "--from", "2", "--to", "12"], "json",
+     "72061ef2bf20098c83b287673b2917a5af90d6991e036b9c77f1dac0c0f0df70"),
+    (["orbits", "--n", "4"], "text",
+     "n=4 class=all group_order=4 total_gluings=105 orbit_count=35\n"),
+    (["orbits", "--n", "4"], "json",
+     "01fe0094b18ab6a8335e9dff6d5a52a02ecbdc6e213acfc8274dffed91bb9c9d"),
+    (["orbits", "--n", "4", "--orbit-reps"], "text",
+     "7ec2cadd00eab5909793596c62f1bfcab3a886bc2fbc786ff3d9308e321befcc"),
+    (["orbits", "--n", "4", "--orbit-reps"], "json",
+     "c5bc4e368ac1220c6ed4331afabe9f6b3702738d13849d10ec26cf31860f6f57"),
+    (["cycles", WORKED_EXAMPLE], "text",
+     "2de891c9cfc19921b2cf02727d4df9bf8c9ed5e0ed09afd88aca26381f5329d0"),
+    (["cycles", WORKED_EXAMPLE], "json",
+     "119cfbe02566ae5972c276f16cc4618eacfdfff45bd99f88066e1212ebc8ecef"),
+    (["canon", "(1,2)(3,6)(4,5)"], "text", "(1,2)(3,6)(4,5)\n"),
+    (["canon", "(1,2)(3,6)(4,5)"], "json",
+     "e11234940d5d52d540356551c363d10a014177b416663485ca7014ad2c8c2cb6"),
+    (["iso", "(1,2)(3,4)", "(1,4)(2,3)"], "text", "false\n"),
+    (["iso", "(1,2)(3,4)", "(1,4)(2,3)"], "json",
+     "1381d1e42172ec633fafa30e539b7c3a8dc20c57799eb3bad40a29f46e4a2717"),
+    (["classify", "(1,3)(2,4)"], "text", "N\n"),
+    (["classify", "(1,3)(2,4)"], "json",
+     "44ee1f3e0aa66e2dc6f7cfc2e642ddd8f441bd8a6ef714fc7f5a583336382334"),
+    (["verify", "--to", "4"], "text",
+     "7285fcc00220c721929fc515e8b736fddcdf0ddd0f25004206ea098dabfcce48"),
+    (["verify", "--to", "4"], "json",
+     "90b94aa791b9c3a28e24c43d684af6c7cdbf13e216f7c54ac40009d2715c3daa"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, fmt, expected", GOLDEN, ids=[" ".join([*a, "--format", f]) for a, f, _ in GOLDEN]
+)
+def test_golden_stdout(capsys, argv, fmt, expected):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    if out.count("\n") == 1:
+        assert out == expected
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize(
+    "argv", [["count", "--n", "5"], ["orbits", "--n", "4"], ["cycles", WORKED_EXAMPLE]]
+)
+def test_json_formats_no_text_line(capsys, monkeypatch, argv):
+    import chord_census.cli as cli_mod
+
+    def no_text(record):
+        raise AssertionError("text line formatted for JSON output")
+
+    monkeypatch.setattr(cli_mod, "_key_values", no_text)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out)
 
 
 class TestTable:

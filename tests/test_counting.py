@@ -248,6 +248,19 @@ class TestBuildTable:
         build_table(2, 200)
         assert len(calls) == 2 * 199
 
+    def test_reads_each_row_argument_once(self, monkeypatch):
+        # n_min and n_max, then n in total_o_gluings and o_classes; the
+        # divisors inside o_classes skip o_fixed's argument checks
+        reads, o_fixed_calls = [], []
+        original = counting_mod._integer
+        monkeypatch.setattr(
+            counting_mod, "_integer", lambda *args: reads.append(args) or original(*args)
+        )
+        monkeypatch.setattr(counting_mod, "o_fixed", lambda *args: o_fixed_calls.append(args))
+        build_table(2, 200)
+        assert len(reads) == 2 + 2 * 199
+        assert o_fixed_calls == []
+
     def test_first_row(self):
         row = build_table(1, 1).rows[0]
         assert (row.total, row.o_total) == (1, 1)
