@@ -15,16 +15,21 @@ The same order partitions the stream into independent shards keyed by the
 partner of point 1, which is how the census parallelizes.  Shards are not
 enumerated: deleting point 1 and its partner leaves a matching of 2n-2
 points (class O: an O-matching), so each shard is one table of those,
-relabelled by int8 arithmetic, plus the chord at point 1.  One operation,
+relabelled by byte arithmetic, plus the chord at point 1.  One operation,
 the lift, adds that chord for a list of first partners, one block of
 columns each: the table is built level by level, each level the last lifted
 by every first partner, and a run of shards is the table lifted by the
-run's first partners.  The table lives for one census.
+run's first partners.  A block is a fixed handful of 2-D numpy calls over
+the rows below and above the new chord's partner, so a lift costs a few
+calls per first partner, not per row.  The table lives for one census.
 
-The table and every shard are stored one row per point: row i holds the
-int8 partner of point i in each matching, one matching per column.  So
-relabelling a table into a shard and reading one point of every gluing
-both touch contiguous memory.
+The table and every shard are stored one row per point, one matching per
+column, a byte per entry.  A class-all table holds lift-ready spans, the
+clockwise span (partner(i) - i) plus one where the chord wraps past the
+last point, so its lift writes the kernel's spans directly; a class-O table
+holds partners, which the kernel turns into spans.  So relabelling a table
+into a shard and reading one point of every gluing both touch contiguous
+memory.
 
 The census never materializes the set of seen canonical forms.  A gluing
 opens a new orbit exactly when it *is* the lexicographic minimum of its
@@ -217,40 +222,67 @@ def _lift(T: np.ndarray, fps: Sequence[int], o_only: bool) -> np.ndarray:
     per point, one column per matching), one block of ``T``'s columns per fp
     of ``fps``, side by side in that order.  The other labels keep their
     order (class O: their order within each parity), so each block keeps
-    ``T``'s column order.  Each table row is relabelled into its destination
-    row in place, so no temporary outgrows one row."""
+    ``T``'s column order.  A block is written by a fixed handful of 2-D
+    numpy calls, each over the table rows that land below the new chord's
+    partner or over those that land above it, so a lift costs O(len(fps))
+    calls whatever the table's height.
+
+    Class all works on spans.  ``T`` holds lift-ready spans of its 2k
+    points, (partner(j) - j) mod (2k + 1), which is the clockwise span plus
+    one where the chord wraps past the last point; the lift returns the
+    clockwise spans (partner(i) - i) mod (2k + 2) that the kernel reads.
+    Inserting points 0 and fp adds one to a span exactly where it reaches
+    a threshold that depends only on the row: fp - 1 - j below the
+    insertion, 2k + fp - j above it.
+
+    Class O works on partners: even labels all move up two and odd labels
+    past fp move up two, which is not an order-preserving insertion, so its
+    spans would need a mod-2n wrap on every row and save nothing; the
+    kernel turns its partners into spans."""
     rows, cols = T.shape
-    out = np.empty((rows + 2, cols * len(fps)), dtype=np.int8)
+    out = np.empty((rows + 2, cols * len(fps)), dtype=np.uint8)
+    # 2k + 1, 2k, ..., 1 down the rows: every threshold run is a slice
+    limits = np.arange(rows + 1, 0, -1, dtype=np.uint8)[:, None]
     for b, fp in enumerate(fps):
         block = out[:, b * cols : (b + 1) * cols]
         block[0] = fp
-        block[fp] = 0
-        for j, src in enumerate(T):
-            # dst = src + shift, the shift written first as bytes (a bool is 0 or 1).
-            if not o_only:  # labels at or past fp - 1 move up two, the rest one
-                dst = block[j + 1 if j < fp - 1 else j + 2]
-                np.greater_equal(src, fp - 1, out=dst.view(np.bool_))
-                dst += 1
-            elif j % 2:  # odd point, even partners: every label moves up two
-                dst = block[j if j < fp else j + 2]
-                dst.fill(2)
-            else:  # even point, odd partners: labels past fp move up two
-                dst = block[j + 2]
-                np.greater_equal(src, fp, out=dst.view(np.bool_))
-                dst += dst
-            dst += src
+        # dst = src + shift, the shift written first as bytes (a bool is 0 or 1).
+        if not o_only:
+            block[fp] = rows + 2 - fp
+            for src, dst, at in (
+                (T[: fp - 1], block[1:fp], limits[rows + 2 - fp :]),
+                (T[fp - 1 :], block[fp + 1 :], limits[: rows + 1 - fp]),
+            ):
+                np.greater_equal(src, at, out=dst.view(np.bool_))
+                dst += src
+        else:
+            block[fp] = 0
+            # odd points, even partners: every label moves up two
+            np.add(T[1:fp:2], 2, out=block[1:fp:2])
+            np.add(T[fp::2], 2, out=block[fp + 2 :: 2])
+            # even points, odd partners: labels past fp move up two
+            dst = block[2::2]
+            np.greater_equal(T[::2], fp, out=dst.view(np.bool_))
+            dst += dst
+            dst += T[::2]
     return out
 
 
 @functools.lru_cache(maxsize=1)
 def _matching_table(k: int, o_only: bool) -> np.ndarray:
-    """Partner arrays of every matching of 2k points (class O: every
-    even-odd matching), read-only, one row per point and one column per
-    matching in shard order.  Each level lifts the last by every first
-    partner."""
-    T = np.zeros((0, 1), dtype=np.int8)
+    """Every matching of 2k points (class O: every even-odd matching),
+    read-only uint8, one row per point and one column per matching in shard
+    order: lift-ready spans for class all, partners for class O (see
+    ``_lift``).  Each level lifts the last by every first partner; a
+    class-all level is then made lift-ready in place, a row at a time."""
+    T = np.zeros((0, 1), dtype=np.uint8)
     for pts in range(2, 2 * k + 1, 2):
         T = _lift(T, _first_partners(pts, o_only), o_only)
+        if not o_only:  # plus one where the chord wraps: span >= pts - i
+            wraps = np.empty(T.shape[1], dtype=np.uint8)
+            for i, row in enumerate(T[1:], 1):  # point 0 never wraps
+                np.greater_equal(row, pts - i, out=wraps.view(np.bool_))
+                row += wraps
     T.flags.writeable = False
     return T
 
@@ -262,13 +294,14 @@ def _shard_task(args: tuple) -> list[tuple]:
     ``args`` is (n, class value, first partners of the run's shards, shifts,
     keep_orbits).  The run is the order-(n-1) table lifted by those first
     partners, one contiguous row per point, so one point of every gluing is
-    one contiguous read.  Each row is first turned in place into clockwise
-    spans, S[i] = (partner(i) - i) mod 2n: rotating a gluing by s shifts its
-    span word cyclically by s, and where two partner arrays first differ
-    both partners lie past that point, so span words order gluings as
-    partner arrays do.  A rotation is then a re-indexing of rows.
-    Point 0's span is each column's own first partner, so one pass serves
-    every shard of the run.
+    one contiguous read.  The kernel reads clockwise spans,
+    S[i] = (partner(i) - i) mod 2n: rotating a gluing by s shifts its span
+    word cyclically by s, and where two partner arrays first differ both
+    partners lie past that point, so span words order gluings as partner
+    arrays do.  A rotation is then a re-indexing of rows.  The class-all
+    lift writes spans directly; class O's partners are turned into spans
+    in place, a row at a time.  Point 0's span is each column's own first
+    partner, so one pass serves every shard of the run.
 
     Only a gluing some shift fixes has a stabilizer above 1, so stabilizers
     and orbit sizes are finished from the fixed (gluing, shift) pairs alone.
@@ -279,16 +312,16 @@ def _shard_task(args: tuple) -> list[tuple]:
     n, cls_value, fps, shifts, keep_orbits = args
     pts = 2 * n
     o_only = DiagramClass(cls_value) is DiagramClass.O
-    S = _lift(_matching_table(n - 1, o_only), fps, o_only).view(np.uint8)
+    S = _lift(_matching_table(n - 1, o_only), fps, o_only)
     rows = S.shape[1]
+    if o_only:  # partners to spans: (p - i) mod 256, then min(x, x + 2n)
+        wrap = np.empty(rows, dtype=np.uint8)
+        for i, row in enumerate(S[1:], 1):  # point 0's span is its partner
+            row -= i
+            np.add(row, pts, out=wrap)
+            np.minimum(row, wrap, out=row)
+        del wrap
     eq, lt = np.empty(rows, dtype=bool), np.empty(rows, dtype=bool)
-    # (p - i) mod 256, then min(x, x + 2n) wraps the negatives to mod 2n.
-    wrap = np.empty(rows, dtype=np.uint8)
-    for i, row in enumerate(S[1:], 1):  # point 0's span is its partner
-        row -= i
-        np.add(row, pts, out=wrap)
-        np.minimum(row, wrap, out=row)
-    del wrap
     not_min = np.zeros(rows, dtype=bool)
     # Span i of gluing r rotated by s is S[i - s, r].  Each shift compares
     # points 0 and 1 over the whole run, then steps point by point, keeping
@@ -433,7 +466,7 @@ def orbit_census(
         raise InvalidArgumentError(f"class must be all, o or n, got {diagram_class!r}") from None
     if n > _MAX_ENGINE_ORDER:
         raise InvalidArgumentError(
-            f"the int8 census engine needs n <= {_MAX_ENGINE_ORDER}, got {n}"
+            f"the uint8 census engine needs n <= {_MAX_ENGINE_ORDER}, got {n}"
         )
     work = _charge_budget(n, diagram_class, budget)
     if diagram_class is DiagramClass.N:

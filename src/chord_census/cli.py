@@ -169,6 +169,10 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    # (2n-1)!! passes Python's default 4300-digit int-to-str limit at
+    # n = 1424; every cell is an exact count, so print it whole.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     table = counting.build_table(args.n_from, args.n_to)
     if args.format == "csv":
         sys.stdout.write(table.to_csv())

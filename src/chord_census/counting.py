@@ -22,12 +22,11 @@ Function map (b = boundary of what each one counts):
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Iterator, Mapping
 
@@ -224,6 +223,16 @@ def _divisors(n: int) -> list[int]:
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
+def _divisor_sieve(limit: int) -> list[list[int]]:
+    """``_divisors(m)`` for every m <= limit, ascending, from one sieve
+    (index 0 holds an empty list)."""
+    divisors: list[list[int]] = [[] for _ in range(limit + 1)]
+    for d in range(1, limit + 1):
+        for m in range(d, limit + 1, d):
+            divisors[m].append(d)
+    return divisors
+
+
 @dataclass(frozen=True)
 class CountRow:
     """One table row; field names double as the CSV column names."""
@@ -242,13 +251,12 @@ class CountTable:
     rows: tuple[CountRow, ...]
 
     def to_csv(self) -> str:
+        """The header and one line per row; every cell is an int, so no
+        cell ever needs quoting."""
         names = [f.name for f in fields(CountRow)]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(names)
-        for row in self.rows:
-            writer.writerow([getattr(row, name) for name in names])
-        return buf.getvalue()
+        cells = operator.attrgetter(*names)
+        lines = [",".join(names), *(",".join(map(str, cells(row))) for row in self.rows)]
+        return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
         names = [f.name for f in fields(CountRow)]
@@ -276,19 +284,22 @@ def build_table(n_min: int, n_max: int) -> CountTable:
         walks[q] = terms, k
         return next(itertools.islice(terms, k - at - 1, None))
 
+    divisors = _divisor_sieve(2 * n_max)
+    o_total = math.factorial(n_min - 1)
     rows = []
     for n in range(n_min, n_max + 1):
+        o_total *= n
         # k = 2m gives colored_fixed(n, m), and k = 2n the class size; the
         # even divisors of 2n are the 2m for m dividing n
-        fixed = {k: fixed_count(n, k) for k in _divisors(2 * n)}
+        fixed = {k: fixed_count(n, k) for k in divisors[2 * n]}
         even = {k // 2: c for k, c in fixed.items() if k % 2 == 0}
         dds = _cyclic_orbits(n, even, f"colored_classes({n})")
-        do = o_classes(n)
+        do = _cyclic_orbits(n, {i: _o_fixed(n, i) for i in even}, f"o_classes({n})")
         rows.append(
             CountRow(
                 n=n,
                 total=fixed[2 * n],
-                o_total=total_o_gluings(n),
+                o_total=o_total,
                 d_star=_cyclic_orbits(2 * n, fixed, f"uncolored_classes({n})"),
                 d_double_star=dds,
                 d_o=do,

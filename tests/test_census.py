@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import functools
 import hashlib
@@ -9,7 +10,7 @@ import math
 import multiprocessing
 import pickle
 import tracemalloc
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 import pytest
@@ -75,10 +76,15 @@ def shard_first_partners(n: int, cls: DiagramClass) -> range:
 
 
 def shard_rows(n: int, fp: int, cls: DiagramClass) -> np.ndarray:
-    """The class-all or class-O shard with partner(0) = fp, one row per
-    gluing: the transpose of the table lifted by that one first partner."""
+    """The class-all or class-O shard with partner(0) = fp as partner
+    arrays, one row per gluing: the transpose of the table lifted by that
+    one first partner, class all's spans decoded, partner(i) = (i + S[i])
+    mod 2n."""
     o_only = cls is DiagramClass.O
-    return _lift(_matching_table(n - 1, o_only), (fp,), o_only).T
+    S = _lift(_matching_table(n - 1, o_only), (fp,), o_only)
+    if not o_only:
+        S = (S + np.arange(2 * n, dtype=np.uint8)[:, None]) % (2 * n)
+    return S.T
 
 
 def shard_counts(n: int, cls: DiagramClass, fp: int, shifts: list[int]) -> tuple:
@@ -338,20 +344,67 @@ class TestShardArrays:
             else:
                 M = shard_rows(n, fp, cls)
             expected = sorted(rows_of.get(fp, []), key=order)
-            assert M.dtype == np.int8 and M.shape == (len(expected), 2 * n)
+            assert M.dtype == np.uint8 and M.shape == (len(expected), 2 * n)
             assert [tuple(int(v) for v in row) for row in M] == expected
 
     @pytest.mark.parametrize("k", range(0, 7))
     @pytest.mark.parametrize("cls", [DiagramClass.ALL, DiagramClass.O])
     def test_matching_table_is_one_read_only_row_per_point(self, k, cls):
+        # Class all holds lift-ready spans, (partner(j) - j) mod (2k + 1),
+        # class O partners; each column decodes to a distinct matching.
         o_only = cls is DiagramClass.O
         rows = math.factorial(k) if o_only else double_factorial(2 * k - 1)
         try:
             T = _matching_table(k, o_only)
-            assert T.dtype == np.int8 and T.shape == (2 * k, rows)
+            assert T.dtype == np.uint8 and T.shape == (2 * k, rows)
             assert T.flags.c_contiguous and not T.flags.writeable
+            points = np.arange(2 * k)[:, None]
+            P = T.astype(np.intp) if o_only else (points + T) % (2 * k + 1)
+            assert ((P < 2 * k) & (P != points)).all()
+            assert (np.take_along_axis(P, P, axis=0) == points).all()
+            if o_only:
+                assert ((P + points) % 2 == 1).all()
+            assert len(set(map(tuple, P.T.tolist()))) == rows
         finally:
             _matching_table.cache_clear()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_class_all_lift_writes_oracle_span_words(self, n):
+        # Shard fp is the block of all_matchings(n), which lists matchings
+        # in stream order, whose point 1 is matched to fp + 1.
+        pts = 2 * n
+        words = collections.defaultdict(list)
+        for m in all_matchings(n):
+            words[partner_of_1(m) - 1].append(span_word(m, pts))
+        try:
+            T = _matching_table(n - 1, False)
+            for fp in shard_first_partners(n, DiagramClass.ALL):
+                S = _lift(T, (fp,), False)
+                assert S.dtype == np.uint8
+                assert list(map(tuple, S.T.tolist())) == words[fp]
+        finally:
+            _matching_table.cache_clear()
+
+    def test_n8_class_all_lift_writes_stream_span_words(self):
+        # all_matchings(8) takes over a minute, so n = 8 reads the stream's
+        # 2,027,025 gluings, in the same order, a shard at a time.
+        n, pts = 8, 16
+        width = double_factorial(2 * n - 3)
+        stream = (g.chords for g in enumerate_gluings(n))
+        try:
+            T = _matching_table(n - 1, False)
+            for fp in shard_first_partners(n, DiagramClass.ALL):
+                flat = chain.from_iterable(chain.from_iterable(islice(stream, width)))
+                chords = np.fromiter(flat, dtype=np.intp, count=width * pts) - 1
+                chords = chords.reshape(width, n, 2)
+                partner = np.empty((width, pts), dtype=np.intp)
+                np.put_along_axis(partner, chords[:, :, 0], chords[:, :, 1], axis=1)
+                np.put_along_axis(partner, chords[:, :, 1], chords[:, :, 0], axis=1)
+                spans = (partner - np.arange(pts)) % pts
+                assert np.array_equal(_lift(T, (fp,), False).T, spans)
+        finally:
+            _matching_table.cache_clear()
+        assert next(stream, None) is None
 
 
 class TestShardTask:

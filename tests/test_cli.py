@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -113,6 +114,26 @@ class TestTable:
         assert out.splitlines()[0].split() == [
             "n", "total", "o_total", "d_star", "d_double_star", "d_o", "d_n",
         ]
+
+    def test_prints_rows_past_the_int_digit_limit(self, capsys):
+        # (2999)!! has 4,597 digits, past Python's default limit of 4,300
+        # for converting an int to a string
+        code, out, _ = run(capsys, "table", "--from", "1500", "--to", "1500",
+                           "--format", "csv")
+        assert code == 0
+        header, row = out.splitlines()
+        assert out.count("\n") == 2
+        total = row.split(",")[header.split(",").index("total")]
+        assert len(total) > 4300
+        set_limit = getattr(sys, "set_int_max_str_digits", None)
+        if set_limit is not None:
+            limit = sys.get_int_max_str_digits()
+            set_limit(0)
+        try:
+            assert int(total) == counting.double_factorial(2999)
+        finally:
+            if set_limit is not None:
+                set_limit(limit)
 
     def test_json_sorted_keys(self, capsys):
         code, out, _ = run(capsys, "table", "--from", "2", "--to", "2",

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import dataclasses
+import io
 import json
 import math
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 
 from chord_census import (
+    CountRow,
     DivisibilityError,
     EvenInputError,
     InvalidArgumentError,
@@ -240,17 +244,27 @@ class TestBuildTable:
         assert build_table(150, 160).rows == full[149:160]
         assert build_table(200, 200).rows == full[199:]
 
-    def test_finds_divisors_twice_a_row(self, monkeypatch):
-        # those of 2n for the fixed counts, and those of n inside o_classes
-        calls = []
-        original = counting_mod._divisors
+    def test_finds_divisors_by_one_sieve(self, monkeypatch):
+        # the divisors of every 2n come from one sieve; those of n are its
+        # even ones halved
+        calls, sieves = [], []
+        original, sieve = counting_mod._divisors, counting_mod._divisor_sieve
         monkeypatch.setattr(counting_mod, "_divisors", lambda n: calls.append(n) or original(n))
+        monkeypatch.setattr(
+            counting_mod, "_divisor_sieve", lambda m: sieves.append(m) or sieve(m)
+        )
         build_table(2, 200)
-        assert len(calls) == 2 * 199
+        assert calls == []
+        assert sieves == [400]
 
-    def test_reads_each_row_argument_once(self, monkeypatch):
-        # n_min and n_max, then n in total_o_gluings and o_classes; the
-        # divisors inside o_classes skip o_fixed's argument checks
+    def test_divisor_sieve_lists_every_divisor(self):
+        sieve = counting_mod._divisor_sieve(1000)
+        assert len(sieve) == 1001 and sieve[0] == []
+        assert all(sieve[m] == counting_mod._divisors(m) for m in range(1, 1001))
+
+    def test_reads_only_the_range_arguments(self, monkeypatch):
+        # n_min and n_max; the rows compute n! and the O-orbit Burnside sum
+        # inline, through no validating helper
         reads, o_fixed_calls = [], []
         original = counting_mod._integer
         monkeypatch.setattr(
@@ -258,7 +272,7 @@ class TestBuildTable:
         )
         monkeypatch.setattr(counting_mod, "o_fixed", lambda *args: o_fixed_calls.append(args))
         build_table(2, 200)
-        assert len(reads) == 2 + 2 * 199
+        assert reads == [(2, "n_min"), (200, "n_max")]
         assert o_fixed_calls == []
 
     def test_first_row(self):
@@ -272,6 +286,14 @@ class TestBuildTable:
         assert lines[0] == "n,total,o_total,d_star,d_double_star,d_o,d_n"
         assert lines[1] == "2,3,2,2,3,2,1"
         assert lines[2] == "3,15,6,5,7,4,3"
+
+    def test_csv_equals_the_csv_module(self):
+        table = build_table(1, 400)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow([f.name for f in dataclasses.fields(CountRow)])
+        writer.writerows(dataclasses.astuple(row) for row in table.rows)
+        assert table.to_csv() == buf.getvalue()
 
     def test_json_round_trips(self):
         table = build_table(2, 4)
