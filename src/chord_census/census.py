@@ -35,19 +35,22 @@ The census never materializes the set of seen canonical forms.  A gluing
 opens a new orbit exactly when it *is* the lexicographic minimum of its
 rotation orbit, so counting minima counts orbits.
 
-The kernel's unit of work is a run: consecutive shards side by side, one
-column per gluing.  Shards are packed into runs of at most 2^15 gluings,
-so the small shards of a small census share one kernel pass; a census big
-enough for a process pool has wider shards, so each pool task is one
-shard.  The kernel reads a run as clockwise spans, (partner(i) - i) mod 2n
-per point, which makes canonicity a least-rotation (necklace) test on the
-span word and a rotation a re-indexing of rows.  Each shift compares a
-run's first two points with its rotation's over whole rows, then steps
+A kernel task is a run or a block, one column per gluing.  A run is
+consecutive whole shards side by side, at most 2^15 gluings, so the small
+shards of a small census share one kernel pass.  A wider shard runs alone,
+cut into equal column blocks of at most 2^17 gluings, each a slice of the
+table lifted by the shard's first partner, so a task holds the table plus
+at most 2^17 columns; a census big enough for a process pool sends the
+pool such blocks.  The census adds up a shard's blocks before it reports
+the shard.  The kernel reads a task as clockwise spans, (partner(i) - i)
+mod 2n per point, which makes canonicity a least-rotation (necklace) test
+on the span word and a rotation a re-indexing of rows.  Each shift compares a
+task's first two points with its rotation's over whole rows, then steps
 point by point, keeping only the gluings equal so far; few gluings get
 past point 1.  Once a shift has few gluings left, it stops stepping
 alone.  One merged compare then finishes every shift's survivors, those
 compared to the end alone included, as (gluing, shift) pairs compared at
-every point in one array operation: a fixed number of numpy calls per run.
+every point in one array operation: a fixed number of numpy calls per task.
 Pairs equal to the end are fixed, which gives the fixed-point counts; only
 fixed gluings have a stabilizer above 1, so stabilizers and orbit sizes are
 finished from those pairs alone.  Every count is split back by shard, so
@@ -104,6 +107,15 @@ _TAIL_POINTS = 6  # memo size vs speed: 8 points is faster, but its memo is ~8x 
 _MERGE_ROWS = 64  # survivors of one shift few enough to finish with the other shifts'
 _POOL_MIN_GLUINGS = 10**7  # below this, forking a pool costs more than it saves
 _RUN_COLUMNS = 1 << 15  # gluings of one kernel task made of several shards
+# Gluings of one kernel task cut from a shard wider than _RUN_COLUMNS.  The
+# kernel is faster on blocks than on whole wide shards: orbit_census(9) took
+# 690 ms with whole shards of 2,027,025 gluings and 383 ms with blocks of at
+# most 2^17 (394 ms at 2^18, 418 at 2^16, 476 at 2^15; median of five, one
+# process).  Against whole shards, 2^17 cut the census benchmark's peak from
+# 39.2 to 38.0 MB at the same wall time.  One 2^15 or 2^16 cap for runs and
+# blocks cost 20% or 3% of its wall, and runs as wide as 2^17 raised the
+# verify benchmark's peak by 1.6 MB.
+_BLOCK_COLUMNS = 1 << 17
 
 ProgressFn = Callable[[int, int], None]  # (gluings processed, orbits found)
 
@@ -288,13 +300,14 @@ def _matching_table(k: int, o_only: bool) -> np.ndarray:
 
 
 def _shard_task(args: tuple) -> list[tuple]:
-    """A run of consecutive shards of the census, in one kernel pass; module
-    level so worker processes can run it.
+    """A run of consecutive shards of the census, or one column block of one
+    shard, in one kernel pass; module level so worker processes can run it.
 
-    ``args`` is (n, class value, first partners of the run's shards, shifts,
-    keep_orbits).  The run is the order-(n-1) table lifted by those first
-    partners, one contiguous row per point, so one point of every gluing is
-    one contiguous read.  The kernel reads clockwise spans,
+    ``args`` is (n, class value, first partners, (lo, hi), shifts,
+    keep_orbits).  The task is columns lo:hi of the order-(n-1) table lifted
+    by those first partners: a run has the table's full width, a block has
+    one first partner.  It is one contiguous row per point, so one point of
+    every gluing is one contiguous read.  The kernel reads clockwise spans,
     S[i] = (partner(i) - i) mod 2n: rotating a gluing by s shifts its span
     word cyclically by s, and where two partner arrays first differ both
     partners lie past that point, so span words order gluings as partner
@@ -306,13 +319,14 @@ def _shard_task(args: tuple) -> list[tuple]:
     Only a gluing some shift fixes has a stabilizer above 1, so stabilizers
     and orbit sizes are finished from the fixed (gluing, shift) pairs alone.
     Returns one (rows, orbit_count, fixed_counts, orbit_size_sum,
-    orbit_records) tuple per shard, in run order; the records list is empty
-    unless ``keep_orbits``.
+    orbit_records) tuple per first partner, in run order, counting only the
+    task's columns, so a shard's blocks add up to the shard's tuple; the
+    records list is empty unless ``keep_orbits``.
     """
-    n, cls_value, fps, shifts, keep_orbits = args
+    n, cls_value, fps, (lo, hi), shifts, keep_orbits = args
     pts = 2 * n
     o_only = DiagramClass(cls_value) is DiagramClass.O
-    S = _lift(_matching_table(n - 1, o_only), fps, o_only)
+    S = _lift(_matching_table(n - 1, o_only)[:, lo:hi], fps, o_only)
     rows = S.shape[1]
     if o_only:  # partners to spans: (p - i) mod 256, then min(x, x + 2n)
         wrap = np.empty(rows, dtype=np.uint8)
@@ -451,12 +465,15 @@ def orbit_census(
     isomorphism).  The same pass counts the gluings each group element
     fixes (``fixed_counts``).  ``keep_orbits`` defaults to True up to n = 6
     and False above, where the representative list would get large; counts
-    are exact either way.  ``workers`` is an upper bound: shards go to a
-    process pool of at most that many workers (and at most one per shard)
-    only for a census of at least 10^7 gluings.  Results are identical for
-    every ``workers`` setting.  Class N is a class-all census less a class-O
-    one, each deciding on its own pool; ``progress`` gets its numbers after
-    each class-all shard.
+    are exact either way.  Kernel tasks are runs of small shards or column
+    blocks of wide ones (see the module docstring); a shard's blocks are
+    summed before ``progress`` gets its numbers, so it fires once per shard
+    and records keep column order.  ``workers`` is an upper bound: tasks go
+    to a process pool of at most that many workers (and at most one per
+    shard) only for a census of at least 10^7 gluings.  Results are
+    identical for every ``workers`` setting.  Class N is a class-all census
+    less a class-O one, each deciding on its own pool; ``progress`` gets its
+    numbers after each class-all shard.
     """
     n = _integer(n, "diagram order", 1)
     workers = _integer(workers, "workers", 1)
@@ -487,15 +504,20 @@ def orbit_census(
         keep_orbits = n <= 6
     shifts, group_order = _group_shifts(n, full_rotation_group)
     fps = _first_partners(2 * n, diagram_class is DiagramClass.O)
+    width = work // len(fps)  # gluings in every shard
     # a pool forks all its workers up front
     workers = min(workers, len(fps)) if work >= _POOL_MIN_GLUINGS else 1
     # Consecutive shards run as one kernel task of at most _RUN_COLUMNS
-    # gluings (every shard holds work // len(fps)).  A census big enough for
-    # a pool has shards wider than that, so its tasks are single shards.
-    per_task = max(1, _RUN_COLUMNS // (work // len(fps)))
+    # gluings.  A wider shard runs alone, cut into equal column blocks of at
+    # most _BLOCK_COLUMNS, so no task is both a run and a block.  A census
+    # big enough for a pool has shards wider than a run: its tasks are blocks.
+    per_task = max(1, _RUN_COLUMNS // width)
+    blocks = -(-width // _BLOCK_COLUMNS) if width > _RUN_COLUMNS else 1
+    cuts = [width * b // blocks for b in range(blocks + 1)]
     tasks = [
-        (n, diagram_class.value, tuple(fps[i : i + per_task]), shifts, keep_orbits)
+        (n, diagram_class.value, tuple(fps[i : i + per_task]), cols, shifts, keep_orbits)
         for i in range(0, len(fps), per_task)
+        for cols in zip(cuts, cuts[1:])
     ]
     total = orbit_count = size_sum = 0
     fixed = [0] * len(shifts)
@@ -503,22 +525,22 @@ def orbit_census(
     with ExitStack() as stack:
         stack.callback(_matching_table.cache_clear)  # no table outlives the pass
         if workers == 1:
-            runs = map(_shard_task, tasks)
+            done = map(_shard_task, tasks)
         else:
             from concurrent.futures import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(max_workers=workers)
-            # On any exception, drop the shards not yet started and join the workers.
+            # On any exception, drop the tasks not yet started and join the workers.
             stack.callback(pool.shutdown, cancel_futures=True)
-            runs = pool.map(_shard_task, tasks)
-        shards = itertools.chain.from_iterable(runs)
-        for rows, oc, shard_fixed, ss, shard_records in shards:
+            done = pool.map(_shard_task, tasks)
+        # one piece per run shard or per block, in column order
+        for rows, oc, piece_fixed, ss, piece_records in itertools.chain.from_iterable(done):
             total += rows
             orbit_count += oc
             size_sum += ss
-            fixed = [a + b for a, b in zip(fixed, shard_fixed)]
-            records.extend(shard_records)
-            if progress is not None:
+            fixed = [a + b for a, b in zip(fixed, piece_fixed)]
+            records.extend(piece_records)
+            if progress is not None and total % width == 0:  # a whole shard
                 progress(total, orbit_count)
 
     if size_sum != total:

@@ -170,15 +170,21 @@ def _cmd_count(args) -> int:
 
 def _cmd_table(args) -> int:
     # (2n-1)!! passes Python's default 4300-digit int-to-str limit at
-    # n = 1424; every cell is an exact count, so print it whole.
-    if hasattr(sys, "set_int_max_str_digits"):
+    # n = 1424; every cell is an exact count, so print it whole, then give
+    # an in-process caller its limit back.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-    table = counting.build_table(args.n_from, args.n_to)
-    if args.format == "csv":
-        sys.stdout.write(table.to_csv())
-    else:
-        record = table.to_json_dict()
-        _emit(args, record, _aligned(record["rows"]))
+    try:
+        table = counting.build_table(args.n_from, args.n_to)
+        if args.format == "csv":
+            sys.stdout.write(table.to_csv())
+        else:
+            record = table.to_json_dict()
+            _emit(args, record, _aligned(record["rows"]))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

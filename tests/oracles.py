@@ -9,6 +9,7 @@ directed walk.  Slow is fine; these only run at small n.
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 from itertools import permutations
 
@@ -16,7 +17,21 @@ Matching = frozenset  # of frozenset({a, b}) pairs
 
 
 def reference_matchings(pts: tuple[int, ...]) -> list[Matching]:
-    """All perfect matchings of a point tuple, by plain recursion."""
+    """All perfect matchings of a point tuple, by plain recursion.
+
+    The cyclic garbage collector is paused while the lists grow: it would
+    walk every frozenset made so far again and again, which took most of
+    the time from 14 points on."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _matchings_of(pts)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _matchings_of(pts: tuple[int, ...]) -> list[Matching]:
     if not pts:
         return [frozenset()]
     a = pts[0]
@@ -24,7 +39,7 @@ def reference_matchings(pts: tuple[int, ...]) -> list[Matching]:
     for i in range(1, len(pts)):
         b = pts[i]
         rest = pts[1:i] + pts[i + 1 :]
-        for tail in reference_matchings(rest):
+        for tail in _matchings_of(rest):
             out.append(tail | {frozenset((a, b))})
     return out
 

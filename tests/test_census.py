@@ -75,6 +75,18 @@ def shard_first_partners(n: int, cls: DiagramClass) -> range:
     return _first_partners(2 * n, cls is DiagramClass.O)
 
 
+def shard_width(n: int, cls: DiagramClass) -> int:
+    """Gluings in each class-all or class-O shard: (2n-3)!! or (n-1)!."""
+    return math.factorial(n - 1) if cls is DiagramClass.O else double_factorial(2 * n - 3)
+
+
+def shard_task(n, cls, fps, shifts, keep_orbits, cols=None) -> list[tuple]:
+    """``_shard_task`` over the whole shards of ``fps``, or over the columns
+    ``cols`` = (lo, hi) of one."""
+    cols = cols or (0, shard_width(n, cls))
+    return _shard_task((n, cls.value, tuple(fps), cols, shifts, keep_orbits))
+
+
 def shard_rows(n: int, fp: int, cls: DiagramClass) -> np.ndarray:
     """The class-all or class-O shard with partner(0) = fp as partner
     arrays, one row per gluing: the transpose of the table lifted by that
@@ -93,14 +105,14 @@ def shard_counts(n: int, cls: DiagramClass, fp: int, shifts: list[int]) -> tuple
     first partner (there is none when fp is even), as the class-N census
     and its progress marks take it."""
     if cls is not DiagramClass.N:
-        [shard] = _shard_task((n, cls.value, (fp,), shifts, True))
+        [shard] = shard_task(n, cls, (fp,), shifts, True)
         return shard
-    [(rows, orbit_count, fixed, size_sum, records)] = _shard_task(
-        (n, DiagramClass.ALL.value, (fp,), shifts, True)
+    [(rows, orbit_count, fixed, size_sum, records)] = shard_task(
+        n, DiagramClass.ALL, (fp,), shifts, True
     )
     if fp % 2:
-        [(o_rows, o_count, o_fixed, o_sum, _)] = _shard_task(
-            (n, DiagramClass.O.value, (fp,), shifts, False)
+        [(o_rows, o_count, o_fixed, o_sum, _)] = shard_task(
+            n, DiagramClass.O, (fp,), shifts, False
         )
         rows, orbit_count, size_sum = rows - o_rows, orbit_count - o_count, size_sum - o_sum
         fixed = [a - b for a, b in zip(fixed, o_fixed)]
@@ -445,7 +457,7 @@ class TestShardTask:
                 for full in (False, True):
                     shifts, _ = _group_shifts(7, full)
                     for fp in shard_first_partners(7, cls):
-                        [task] = _shard_task((7, cls.value, (fp,), shifts, True))
+                        [task] = shard_task(7, cls, (fp,), shifts, True)
                         digest.update(repr(task).encode())
         finally:
             _matching_table.cache_clear()
@@ -459,7 +471,7 @@ class TestShardTask:
         _matching_table.cache_clear()
         tracemalloc.start()
         try:
-            _shard_task((n, DiagramClass.ALL.value, (1,), shifts, False))
+            shard_task(n, DiagramClass.ALL, (1,), shifts, False)
             _, peak = tracemalloc.get_traced_memory()
             table = _matching_table(n - 1, False)
         finally:
@@ -474,7 +486,7 @@ class TestShardTask:
         _matching_table.cache_clear()
         tracemalloc.start()
         try:
-            _shard_task((n, DiagramClass.O.value, (1,), shifts, False))
+            shard_task(n, DiagramClass.O, (1,), shifts, False)
             _, peak = tracemalloc.get_traced_memory()
             table = _matching_table(n - 1, True)
         finally:
@@ -483,23 +495,45 @@ class TestShardTask:
         rows = table.shape[1]
         assert peak < table.nbytes + rows * 2 * n + 20 * rows
 
+    def test_census_peak_below_table_plus_level_plus_one_block(self):
+        # n = 9 class all: 17 shards of 15!! = 2,027,025 gluings, each cut
+        # into 16 blocks; the table's last level is lifted from the one below
+        n = 9
+        width = shard_width(n, DiagramClass.ALL)
+        blocks = -(-width // census_mod._BLOCK_COLUMNS)
+        cols = -(-width // blocks)
+        table = (2 * n - 2) * width
+        level = (2 * n - 4) * shard_width(n - 1, DiagramClass.ALL)
+        _matching_table.cache_clear()
+        tracemalloc.start()
+        try:
+            census = orbit_census(n, workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert census.total_gluings == 17 * width
+        assert blocks == 16
+        assert peak < table + level + 2 * n * cols + 20 * cols
+
 
 class TestRuns:
-    """Consecutive shards run as one kernel task, in-process or in a pool,
-    and each shard keeps the tuple it has when run alone."""
+    """Consecutive small shards run as one kernel task and a wide shard as
+    column blocks, in-process or in a pool; each shard keeps the tuple it
+    has when run alone, and its blocks add up to that tuple."""
 
     @pytest.fixture
-    def run_sizes(self, monkeypatch) -> list[int]:
-        """Shards in each kernel task a census runs, in order."""
-        sizes = []
+    def tasks(self, monkeypatch) -> list[tuple]:
+        """(first partners, column range) of each kernel task a census runs,
+        in order."""
+        seen = []
         original = census_mod._shard_task
 
         def recording(args):
-            sizes.append(len(args[2]))
+            seen.append(args[2:4])
             return original(args)
 
         monkeypatch.setattr(census_mod, "_shard_task", recording)
-        return sizes
+        return seen
 
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("cls", [DiagramClass.ALL, DiagramClass.O])
@@ -508,24 +542,61 @@ class TestRuns:
         shifts, _ = _group_shifts(n, full)
         fps = shard_first_partners(n, cls)
         try:
-            alone = [_shard_task((n, cls.value, (fp,), shifts, True))[0] for fp in fps]
+            alone = [shard_task(n, cls, (fp,), shifts, True)[0] for fp in fps]
             for i in range(len(fps)):
                 for j in range(i + 1, len(fps) + 1):
-                    run = _shard_task((n, cls.value, tuple(fps[i:j]), shifts, True))
+                    run = shard_task(n, cls, fps[i:j], shifts, True)
                     assert repr(run) == repr(alone[i:j])  # same values and types
         finally:
             _matching_table.cache_clear()
 
-    # 0: one shard per run.  10**9: one run per census.
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("cls", [DiagramClass.ALL, DiagramClass.O])
+    @pytest.mark.parametrize("full", [False, True], ids=["even", "full"])
+    def test_every_shard_is_the_sum_of_its_blocks(self, n, cls, full):
+        shifts, _ = _group_shifts(n, full)
+        width = shard_width(n, cls)
+        try:
+            for fp in shard_first_partners(n, cls):
+                [whole] = shard_task(n, cls, (fp,), shifts, True)
+                for blocks in {min(b, width) for b in (2, 3, 7, 60)}:
+                    cuts = [width * b // blocks for b in range(blocks + 1)]
+                    pieces = [
+                        shard_task(n, cls, (fp,), shifts, True, cols)
+                        for cols in zip(cuts, cuts[1:])
+                    ]
+                    rows, orbits, fixed, size_sums, records = zip(*chain(*pieces))
+                    summed = (
+                        sum(rows),
+                        sum(orbits),
+                        [sum(counts) for counts in zip(*fixed)],
+                        sum(size_sums),
+                        list(chain(*records)),  # column order
+                    )
+                    assert repr(summed) == repr(whole)
+        finally:
+            _matching_table.cache_clear()
+
+    # (run, block) columns: as shipped; one run per census; one shard per run
+    # or block, whole or cut into blocks of 1000, 37 or 1 gluings; and blocks
+    # narrower than a run (n = 6: class-all blocks, class-O runs).  A width
+    # runs only where it makes at most 2048 tasks.
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize(
         "cls", [DiagramClass.ALL, DiagramClass.O, DiagramClass.N]
     )
     @pytest.mark.parametrize("full", [False, True], ids=["even", "full"])
     def test_census_same_for_any_run_width(self, n, cls, full, monkeypatch):
+        work = math.factorial(n) if cls is DiagramClass.O else double_factorial(2 * n - 1)
+        shipped = census_mod._RUN_COLUMNS, census_mod._BLOCK_COLUMNS
         results = []
-        for run_columns in (0, 10**9):
+        for run_columns, block_columns in (
+            shipped, (10**9, 10**9), (0, 10**9), (0, 1000), (0, 37), (0, 1), (500, 37)
+        ):
+            if work > 2048 * block_columns:
+                continue
             monkeypatch.setattr(census_mod, "_RUN_COLUMNS", run_columns)
+            monkeypatch.setattr(census_mod, "_BLOCK_COLUMNS", block_columns)
             calls = []
             census = orbit_census(
                 n,
@@ -535,41 +606,65 @@ class TestRuns:
                 progress=lambda *done: calls.append(done),
             )
             results.append((census, calls))
-        assert results[0] == results[1]
+        assert len(results) >= 4
+        assert all(result == results[0] for result in results[1:])
 
-    def test_runs_hold_at_most_run_columns(self, run_sizes, monkeypatch):
+    def test_runs_hold_at_most_run_columns(self, tasks, monkeypatch):
         # n = 6: 11 class-all shards of 945 gluings, 6 class-O shards of 120
         monkeypatch.setattr(census_mod, "_RUN_COLUMNS", 3 * 945)
         orbit_census(6)
         orbit_census(6, DiagramClass.O)
-        assert run_sizes == [3, 3, 3, 2, 6]
+        assert [len(fps) for fps, _ in tasks] == [3, 3, 3, 2, 6]
         monkeypatch.setattr(census_mod, "_RUN_COLUMNS", 944)  # below one shard
         orbit_census(6)
-        assert run_sizes[5:] == [1] * 11
+        assert [len(fps) for fps, _ in tasks[5:]] == [1] * 11
 
-    def test_pool_takes_the_same_tasks(self, run_sizes, pools, pool_always, monkeypatch):
+    def test_pool_takes_the_same_tasks(self, tasks, pools, pool_always, monkeypatch):
         monkeypatch.setattr(census_mod, "_RUN_COLUMNS", 3 * 945)
         assert orbit_census(6, workers=2) == orbit_census(6)
         assert pools == [2]
-        assert run_sizes == [3, 3, 3, 2] * 2
+        assert [len(fps) for fps, _ in tasks] == [3, 3, 3, 2] * 2
 
-    def test_pool_census_tasks_are_single_shards(self, pools, monkeypatch):
-        sizes = []
+    def test_pool_takes_the_same_blocks(self, tasks, pools, pool_always, monkeypatch):
+        # n = 6: 11 class-all shards of 945 gluings, cut into 3 blocks each
+        monkeypatch.setattr(census_mod, "_RUN_COLUMNS", 944)
+        monkeypatch.setattr(census_mod, "_BLOCK_COLUMNS", 400)
+        assert orbit_census(6, workers=2) == orbit_census(6)
+        assert pools == [2]
+        blocks = [((fp,), cols) for fp in range(1, 12) for cols in ((0, 315), (315, 630), (630, 945))]
+        assert tasks == blocks * 2
+
+    def test_pool_census_tasks_are_column_blocks(self, pools, monkeypatch):
+        tasks = []
 
         def stub(args):
-            n, cls_value, fps, shifts, _ = args
-            sizes.append(len(fps))
-            o_only = cls_value == DiagramClass.O.value
-            width = math.factorial(n - 1) if o_only else double_factorial(2 * n - 3)
-            return [(width, 0, [0] * len(shifts), width, [])] * len(fps)
+            _, _, fps, (lo, hi), shifts, _ = args
+            tasks.append((fps, (lo, hi)))
+            return [(hi - lo, 0, [0] * len(shifts), hi - lo, [])]
 
         monkeypatch.setattr(census_mod, "_shard_task", stub)
-        # the smallest class-all and class-O censuses that fork a pool
-        assert orbit_census(9, workers=2, budget=10**8).total_gluings == 34_459_425
-        o = orbit_census(11, DiagramClass.O, workers=2, budget=10**8)
-        assert o.total_gluings == 39_916_800
+        # The smallest class-all and class-O censuses that fork a pool:
+        # 17 shards of 15!! gluings cut into 16 blocks, 11 of 10! into 28.
+        for n, cls, shards, width, count in (
+            (9, DiagramClass.ALL, 17, 2_027_025, 16),
+            (11, DiagramClass.O, 11, 3_628_800, 28),
+        ):
+            tasks.clear()
+            census = orbit_census(n, cls, workers=2, budget=10**8)
+            assert census.total_gluings == shards * width
+            assert len(tasks) == shards * count
+            assert [fps for fps, _ in tasks] == [
+                (fp,) for fp in shard_first_partners(n, cls) for _ in range(count)
+            ]
+            for i in range(0, len(tasks), count):
+                cuts = [0] + [hi for _, (_, hi) in tasks[i : i + count]]
+                assert [cols for _, cols in tasks[i : i + count]] == list(zip(cuts, cuts[1:]))
+                assert cuts[-1] == width
+                assert {hi - lo for hi, lo in zip(cuts[1:], cuts)} <= {
+                    width // count, -(-width // count)
+                }
+            assert -(-width // count) <= census_mod._BLOCK_COLUMNS
         assert pools == [2, 2]
-        assert sizes == [1] * 17 + [1] * 11
 
     def test_every_census_that_forks_has_shards_wider_than_a_run(self):
         for n in range(1, census_mod._MAX_ENGINE_ORDER + 1):

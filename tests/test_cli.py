@@ -135,6 +135,20 @@ class TestTable:
             if set_limit is not None:
                 set_limit(limit)
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_leaves_the_int_digit_limit_as_it_was(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4321)
+        try:
+            code, _, _ = run(capsys, "table", "--from", "1500", "--to", "1500",
+                             "--format", "csv")
+            assert code == 0
+            assert sys.get_int_max_str_digits() == 4321
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_json_sorted_keys(self, capsys):
         code, out, _ = run(capsys, "table", "--from", "2", "--to", "2",
                            "--format", "json")
