@@ -53,14 +53,14 @@ compared to the end alone included, as (gluing, shift) pairs compared at
 every point in one array operation: a fixed number of numpy calls per task.
 Pairs equal to the end are fixed, which gives the fixed-point counts; only
 fixed gluings have a stabilizer above 1, so stabilizers and orbit sizes are
-finished from those pairs alone.  Every count is split back by shard, so
-each shard reports what it would alone.  Orbit representatives are
-collected on request.
+finished from those pairs alone.  A task returns one set of counts; only
+progress reads shards, so only its orbit count is also split by shard.
+Orbit representatives are collected on request.
 
-``orbit_census`` is the only entry into the engine: one pass per (n, class,
-group) yields the orbit count, the class size and the fixed count of every
-group element.  ``count_fixed`` and ``burnside_check`` read their answers
-from such a census.
+``orbit_census`` is the only entry into the engine (numpy loads with its
+first call): one pass per (n, class, group) yields the orbit count, the
+class size and the fixed count of every group element.  ``count_fixed``
+and ``burnside_check`` read their answers from such a census.
 
 Work is bounded by a gluing budget (default 4*10^7, overridable with the
 ``CHORD_CENSUS_BUDGET`` environment variable or per call).  Class N is the
@@ -78,9 +78,10 @@ import itertools
 import os
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:  # numpy loads with the first census, inside the engine
+    import numpy as np
 
 from .counting import total_gluings, total_o_gluings
 from .diagram import DiagramClass, Gluing, _trusted_gluing, classify
@@ -251,6 +252,7 @@ def _lift(T: np.ndarray, fps: Sequence[int], o_only: bool) -> np.ndarray:
     past fp move up two, which is not an order-preserving insertion, so its
     spans would need a mod-2n wrap on every row and save nothing; the
     kernel turns its partners into spans."""
+    import numpy as np
     rows, cols = T.shape
     out = np.empty((rows + 2, cols * len(fps)), dtype=np.uint8)
     # 2k + 1, 2k, ..., 1 down the rows: every threshold run is a slice
@@ -287,6 +289,7 @@ def _matching_table(k: int, o_only: bool) -> np.ndarray:
     order: lift-ready spans for class all, partners for class O (see
     ``_lift``).  Each level lifts the last by every first partner; a
     class-all level is then made lift-ready in place, a row at a time."""
+    import numpy as np
     T = np.zeros((0, 1), dtype=np.uint8)
     for pts in range(2, 2 * k + 1, 2):
         T = _lift(T, _first_partners(pts, o_only), o_only)
@@ -299,7 +302,7 @@ def _matching_table(k: int, o_only: bool) -> np.ndarray:
     return T
 
 
-def _shard_task(args: tuple) -> list[tuple]:
+def _shard_task(args: tuple) -> tuple:
     """A run of consecutive shards of the census, or one column block of one
     shard, in one kernel pass; module level so worker processes can run it.
 
@@ -318,11 +321,13 @@ def _shard_task(args: tuple) -> list[tuple]:
 
     Only a gluing some shift fixes has a stabilizer above 1, so stabilizers
     and orbit sizes are finished from the fixed (gluing, shift) pairs alone.
-    Returns one (rows, orbit_count, fixed_counts, orbit_size_sum,
-    orbit_records) tuple per first partner, in run order, counting only the
-    task's columns, so a shard's blocks add up to the shard's tuple; the
-    records list is empty unless ``keep_orbits``.
+    Returns one (marks, fixed_counts, orbit_size_sum, orbit_records) for
+    the task's columns, records in column order (none unless
+    ``keep_orbits``).  Only progress reads shards, so only orbit counts are
+    split: ``marks`` holds a (rows, orbit_count) per first partner, in run
+    order.  A run's or shard's result sums its shards' or blocks'.
     """
+    import numpy as np
     n, cls_value, fps, (lo, hi), shifts, keep_orbits = args
     pts = 2 * n
     o_only = DiagramClass(cls_value) is DiagramClass.O
@@ -376,8 +381,7 @@ def _shard_task(args: tuple) -> list[tuple]:
     alive, shift = alive[same], shift[same]
 
     runs, width = len(fps), rows // len(fps)
-    fixed = np.bincount(alive // width * pts + shift, minlength=runs * pts)
-    fixed = fixed.reshape(runs, pts)[:, shifts].tolist()
+    fixed = np.bincount(shift, minlength=pts)[shifts].tolist()
     group_order = len(shifts) + 1
     # Only a fixed gluing has a stabilizer above 1: the identity plus every
     # shift that fixes it.  Fixed pairs are few, so a Counter tallies them as
@@ -387,29 +391,22 @@ def _shard_task(args: tuple) -> list[tuple]:
     stabs = np.array(list(fixes.values()), dtype=np.intp) + 1
     if np.any(group_order % stabs):
         raise AssertionError("stabilizer order does not divide group order")
-    canon = ~not_min[fixed_rows]
-    fixed_rows, stabs = fixed_rows[canon], stabs[canon]
     # count_nonzero without an axis counts in C; with one it builds and sums
     # a temporary.
-    not_min = not_min.reshape(runs, width)
-    orbit_counts = np.array([width - np.count_nonzero(shard) for shard in not_min])
+    shards = not_min.reshape(runs, width)
+    marks = [(width, width - int(np.count_nonzero(shard))) for shard in shards]
     # group_order gluings an orbit, less where the stabilizer is above 1
-    size_sums = group_order * orbit_counts
-    np.subtract.at(size_sums, fixed_rows // width, group_order - group_order // stabs)
-    records: list[list[tuple]] = [[] for _ in fps]
+    lost = group_order - group_order // stabs[~not_min[fixed_rows]]
+    size_sum = group_order * sum(orbits for _, orbits in marks) - int(lost.sum())
+    records = []
     if keep_orbits:
-        reps = np.flatnonzero(~not_min.ravel())
+        reps = np.flatnonzero(~not_min)
         partners = (np.arange(pts)[:, None] + S[:, reps]) % pts
         for r, row in zip(reps.tolist(), partners.T):
             st = fixes[r] + 1
             chords = tuple((i + 1, int(row[i]) + 1) for i in range(pts) if i < row[i])
-            records[r // width].append((chords, group_order // st, st))
-    return [
-        (width, orbits, shard_fixed, size_sum, shard_records)
-        for orbits, shard_fixed, size_sum, shard_records in zip(
-            orbit_counts.tolist(), fixed, size_sums.tolist(), records
-        )
-    ]
+            records.append((chords, group_order // st, st))
+    return marks, fixed, size_sum, records
 
 
 def _resolve_budget(budget: Optional[int]) -> int:
@@ -533,15 +530,16 @@ def orbit_census(
             # On any exception, drop the tasks not yet started and join the workers.
             stack.callback(pool.shutdown, cancel_futures=True)
             done = pool.map(_shard_task, tasks)
-        # one piece per run shard or per block, in column order
-        for rows, oc, piece_fixed, ss, piece_records in itertools.chain.from_iterable(done):
-            total += rows
-            orbit_count += oc
-            size_sum += ss
-            fixed = [a + b for a, b in zip(fixed, piece_fixed)]
-            records.extend(piece_records)
-            if progress is not None and total % width == 0:  # a whole shard
-                progress(total, orbit_count)
+        # one result per task, in column order
+        for marks, task_fixed, task_size_sum, task_records in done:
+            fixed = [a + b for a, b in zip(fixed, task_fixed)]
+            size_sum += task_size_sum
+            records.extend(task_records)
+            for rows, orbits in marks:  # one per run shard, or one for a block
+                total += rows
+                orbit_count += orbits
+                if progress is not None and total % width == 0:  # a whole shard
+                    progress(total, orbit_count)
 
     if size_sum != total:
         raise AssertionError(f"orbit sizes sum to {size_sum}, expected {total}")

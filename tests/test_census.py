@@ -80,11 +80,34 @@ def shard_width(n: int, cls: DiagramClass) -> int:
     return math.factorial(n - 1) if cls is DiagramClass.O else double_factorial(2 * n - 3)
 
 
-def shard_task(n, cls, fps, shifts, keep_orbits, cols=None) -> list[tuple]:
+def shard_task(n, cls, fps, shifts, keep_orbits, cols=None) -> tuple:
     """``_shard_task`` over the whole shards of ``fps``, or over the columns
-    ``cols`` = (lo, hi) of one."""
+    ``cols`` = (lo, hi) of one: (marks, fixed counts, orbit size sum,
+    records)."""
     cols = cols or (0, shard_width(n, cls))
     return _shard_task((n, cls.value, tuple(fps), cols, shifts, keep_orbits))
+
+
+def one_shard(n, cls, fp, shifts, keep_orbits, cols=None) -> tuple:
+    """(rows, orbit_count, fixed_counts, orbit_size_sum, orbit_records) of
+    the shard with first partner ``fp``, or of its columns ``cols``: a
+    one-shard task's result with its one mark unpacked."""
+    [(rows, orbits)], fixed, size_sum, records = shard_task(
+        n, cls, (fp,), shifts, keep_orbits, cols
+    )
+    return rows, orbits, fixed, size_sum, records
+
+
+def combined(results) -> tuple:
+    """One task result from several in column order: marks listed, fixed
+    counts and size sums added, records concatenated."""
+    marks, fixed, size_sums, records = zip(*results)
+    return (
+        list(chain(*marks)),
+        [sum(counts) for counts in zip(*fixed)],
+        sum(size_sums),
+        list(chain(*records)),
+    )
 
 
 def shard_rows(n: int, fp: int, cls: DiagramClass) -> np.ndarray:
@@ -100,20 +123,17 @@ def shard_rows(n: int, fp: int, cls: DiagramClass) -> np.ndarray:
 
 
 def shard_counts(n: int, cls: DiagramClass, fp: int, shifts: list[int]) -> tuple:
-    """``_shard_task``'s tuple with orbit records.  Class N has no shard of
+    """``one_shard``'s tuple with orbit records.  Class N has no shard of
     its own: it is the class-all shard less the class-O shard with the same
     first partner (there is none when fp is even), as the class-N census
     and its progress marks take it."""
     if cls is not DiagramClass.N:
-        [shard] = shard_task(n, cls, (fp,), shifts, True)
-        return shard
-    [(rows, orbit_count, fixed, size_sum, records)] = shard_task(
-        n, DiagramClass.ALL, (fp,), shifts, True
+        return one_shard(n, cls, fp, shifts, True)
+    rows, orbit_count, fixed, size_sum, records = one_shard(
+        n, DiagramClass.ALL, fp, shifts, True
     )
     if fp % 2:
-        [(o_rows, o_count, o_fixed, o_sum, _)] = shard_task(
-            n, DiagramClass.O, (fp,), shifts, False
-        )
+        o_rows, o_count, o_fixed, o_sum, _ = one_shard(n, DiagramClass.O, fp, shifts, False)
         rows, orbit_count, size_sum = rows - o_rows, orbit_count - o_count, size_sum - o_sum
         fixed = [a - b for a, b in zip(fixed, o_fixed)]
     records = [r for r in records if classify(Gluing(r[0])) is DiagramClass.N]
@@ -457,7 +477,7 @@ class TestShardTask:
                 for full in (False, True):
                     shifts, _ = _group_shifts(7, full)
                     for fp in shard_first_partners(7, cls):
-                        [task] = shard_task(7, cls, (fp,), shifts, True)
+                        task = one_shard(7, cls, fp, shifts, True)
                         digest.update(repr(task).encode())
         finally:
             _matching_table.cache_clear()
@@ -518,8 +538,8 @@ class TestShardTask:
 
 class TestRuns:
     """Consecutive small shards run as one kernel task and a wide shard as
-    column blocks, in-process or in a pool; each shard keeps the tuple it
-    has when run alone, and its blocks add up to that tuple."""
+    column blocks, in-process or in a pool; a run's result is its shards'
+    results combined, and a shard's is its blocks' combined."""
 
     @pytest.fixture
     def tasks(self, monkeypatch) -> list[tuple]:
@@ -542,11 +562,13 @@ class TestRuns:
         shifts, _ = _group_shifts(n, full)
         fps = shard_first_partners(n, cls)
         try:
-            alone = [shard_task(n, cls, (fp,), shifts, True)[0] for fp in fps]
+            alone = [shard_task(n, cls, (fp,), shifts, True) for fp in fps]
             for i in range(len(fps)):
                 for j in range(i + 1, len(fps) + 1):
                     run = shard_task(n, cls, fps[i:j], shifts, True)
-                    assert repr(run) == repr(alone[i:j])  # same values and types
+                    # each shard's mark as when it runs alone, fixed counts
+                    # and size sums added, records in order; same types too
+                    assert repr(run) == repr(combined(alone[i:j]))
         finally:
             _matching_table.cache_clear()
 
@@ -558,21 +580,16 @@ class TestRuns:
         width = shard_width(n, cls)
         try:
             for fp in shard_first_partners(n, cls):
-                [whole] = shard_task(n, cls, (fp,), shifts, True)
+                whole = shard_task(n, cls, (fp,), shifts, True)
                 for blocks in {min(b, width) for b in (2, 3, 7, 60)}:
                     cuts = [width * b // blocks for b in range(blocks + 1)]
-                    pieces = [
+                    marks, *rest = combined(
                         shard_task(n, cls, (fp,), shifts, True, cols)
                         for cols in zip(cuts, cuts[1:])
-                    ]
-                    rows, orbits, fixed, size_sums, records = zip(*chain(*pieces))
-                    summed = (
-                        sum(rows),
-                        sum(orbits),
-                        [sum(counts) for counts in zip(*fixed)],
-                        sum(size_sums),
-                        list(chain(*records)),  # column order
                     )
+                    assert len(marks) == blocks
+                    rows, orbits = zip(*marks)
+                    summed = ([(sum(rows), sum(orbits))], *rest)
                     assert repr(summed) == repr(whole)
         finally:
             _matching_table.cache_clear()
@@ -640,7 +657,7 @@ class TestRuns:
         def stub(args):
             _, _, fps, (lo, hi), shifts, _ = args
             tasks.append((fps, (lo, hi)))
-            return [(hi - lo, 0, [0] * len(shifts), hi - lo, [])]
+            return [(hi - lo, 0)], [0] * len(shifts), hi - lo, []
 
         monkeypatch.setattr(census_mod, "_shard_task", stub)
         # The smallest class-all and class-O censuses that fork a pool:
@@ -736,6 +753,18 @@ class TestOrbitCensus:
     def test_keep_orbits_defaults(self):
         assert orbit_census(3).orbits is not None
         assert orbit_census(7).orbits is None
+
+    def test_orbit_sizes_must_sum_to_the_class_size(self, monkeypatch):
+        original = census_mod._shard_task
+
+        def one_too_many(args):
+            marks, fixed, size_sum, records = original(args)
+            return marks, fixed, size_sum + 1, records
+
+        monkeypatch.setattr(census_mod, "_shard_task", one_too_many)
+        # n = 4: 7 shards of 15 gluings, one kernel task
+        with pytest.raises(AssertionError, match=r"^orbit sizes sum to 106, expected 105$"):
+            orbit_census(4)
 
     @pytest.mark.parametrize(
         "cls", [DiagramClass.ALL, DiagramClass.O, DiagramClass.N]

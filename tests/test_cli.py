@@ -376,6 +376,18 @@ class TestErrorContract:
         code, _, err = run(capsys, "orbits", "--n", "3")
         assert code == 2 and "CHORD_CENSUS_BUDGET" in err
 
+    def test_closed_stdout_exits_0(self, monkeypatch):
+        # a reader that stops early, as in `chord-census enumerate ... | head`
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["enumerate", "--n", "3"]) == 0
+
     def test_internal_value_error_propagates(self, capsys, monkeypatch):
         # a ValueError from inside the package is a bug, not bad input
         import chord_census.cli as cli_mod

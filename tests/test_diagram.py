@@ -144,6 +144,14 @@ class TestParsing:
         with pytest.raises(GluingParseError):
             Gluing.from_json(obj)
 
+    @pytest.mark.parametrize(
+        "obj", ['{"chords": [[1, 2]]', "chords", "[[1, 2]]", '"(1,2)"', [[1, 2]], None],
+        ids=["unclosed", "bare-word", "list-text", "string-text", "list", "none"],
+    )
+    def test_json_that_is_not_an_object_rejected(self, obj):
+        with pytest.raises(GluingParseError):
+            Gluing.from_json(obj)
+
     @pytest.mark.parametrize("obj", [{"chords": []}, {"n": 0, "chords": []}, '{"chords": []}'])
     def test_json_without_chords_rejected(self, obj):
         with pytest.raises(InvalidGluingError):

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import chord_census
 
 PUBLIC_NAMES = [
@@ -93,3 +98,14 @@ def test_star_import_binds_exactly_the_public_names():
 
 def test_no_private_name_is_exported():
     assert [name for name in chord_census.__all__ if name.startswith("_")] == ["__version__"]
+
+
+def test_numpy_loads_with_the_first_census():
+    # a fresh interpreter, since this one has loaded numpy already
+    code = (
+        "import sys, chord_census; assert 'numpy' not in sys.modules; "
+        "chord_census.orbit_census(3); assert 'numpy' in sys.modules"
+    )
+    src = str(Path(chord_census.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
