@@ -42,9 +42,10 @@ cut into equal column blocks of at most 2^17 gluings, each a slice of the
 table lifted by the shard's first partner, so a task holds the table plus
 at most 2^17 columns; a census big enough for a process pool sends the
 pool such blocks.  The census adds up a shard's blocks before it reports
-the shard.  The kernel reads a task as clockwise spans, (partner(i) - i)
-mod 2n per point, which makes canonicity a least-rotation (necklace) test
-on the span word and a rotation a re-indexing of rows.  Each shift compares a
+the shard.  The kernel reads a task as span words, which order gluings as
+normal forms do (see ``chord_census.diagram``), so canonicity is a
+least-rotation (necklace) test on the span word and a rotation a
+re-indexing of rows.  Each shift compares a
 task's first two points with its rotation's over whole rows, then steps
 point by point, keeping only the gluings equal so far; few gluings get
 past point 1.  Once a shift has few gluings left, it stops stepping
@@ -84,7 +85,7 @@ if TYPE_CHECKING:  # numpy loads with the first census, inside the engine
     import numpy as np
 
 from .counting import total_gluings, total_o_gluings
-from .diagram import DiagramClass, Gluing, _trusted_gluing, classify
+from .diagram import DiagramClass, Gluing, _span_chords, _trusted_gluing, classify
 from .errors import BudgetExceededError, InvalidArgumentError, _integer
 
 __all__ = [
@@ -310,14 +311,13 @@ def _shard_task(args: tuple) -> tuple:
     keep_orbits).  The task is columns lo:hi of the order-(n-1) table lifted
     by those first partners: a run has the table's full width, a block has
     one first partner.  It is one contiguous row per point, so one point of
-    every gluing is one contiguous read.  The kernel reads clockwise spans,
-    S[i] = (partner(i) - i) mod 2n: rotating a gluing by s shifts its span
-    word cyclically by s, and where two partner arrays first differ both
-    partners lie past that point, so span words order gluings as partner
-    arrays do.  A rotation is then a re-indexing of rows.  The class-all
-    lift writes spans directly; class O's partners are turned into spans
-    in place, a row at a time.  Point 0's span is each column's own first
-    partner, so one pass serves every shard of the run.
+    every gluing is one contiguous read.  The kernel reads each column as a
+    span word, S[i] = (partner(i) - i) mod 2n, which a rotation by s shifts
+    cyclically by s (see ``chord_census.diagram``), so a rotation is a
+    re-indexing of rows.  The class-all lift writes spans directly; class
+    O's partners are turned into spans in place, a row at a time.  Point
+    0's span is each column's own first partner, so one pass serves every
+    shard of the run.
 
     Only a gluing some shift fixes has a stabilizer above 1, so stabilizers
     and orbit sizes are finished from the fixed (gluing, shift) pairs alone.
@@ -401,11 +401,9 @@ def _shard_task(args: tuple) -> tuple:
     records = []
     if keep_orbits:
         reps = np.flatnonzero(~not_min)
-        partners = (np.arange(pts)[:, None] + S[:, reps]) % pts
-        for r, row in zip(reps.tolist(), partners.T):
+        for r, word in zip(reps.tolist(), S[:, reps].T.tolist()):
             st = fixes[r] + 1
-            chords = tuple((i + 1, int(row[i]) + 1) for i in range(pts) if i < row[i])
-            records.append((chords, group_order // st, st))
+            records.append((_span_chords(word), group_order // st, st))
     return marks, fixed, size_sum, records
 
 
@@ -546,7 +544,7 @@ def orbit_census(
     orbits = None
     if keep_orbits:
         orbits = tuple(
-            OrbitInfo(Gluing(chords), size, stab) for chords, size, stab in records
+            OrbitInfo(_trusted_gluing((chords,)), size, stab) for chords, size, stab in records
         )
     return OrbitCensus(
         n=n,

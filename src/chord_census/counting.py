@@ -186,6 +186,7 @@ def colored_classes(n: int) -> int:
 
 def colored_classes_prime(p: int) -> int:
     """Shortcut for odd primes: (2p-1)!!/p + p - 1."""
+    p = _integer(p, "prime p")
     if not _is_odd_prime(p):
         raise NotPrimeError(f"needs an odd prime p >= 3, got {p}")
     return double_factorial(2 * p - 1) // p + p - 1
@@ -201,6 +202,7 @@ def o_classes(n: int) -> int:
 
 def o_classes_prime(p: int) -> int:
     """Shortcut for odd primes: (p-1)! + (p-1)."""
+    p = _integer(p, "prime p")
     if not _is_odd_prime(p):
         raise NotPrimeError(f"needs an odd prime p >= 3, got {p}")
     return math.factorial(p - 1) + (p - 1)

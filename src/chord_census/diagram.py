@@ -13,6 +13,14 @@ Conventions used throughout the package:
   written as 2n, then renormalizes.  Color diagrams are isomorphic exactly
   when related by an even rotation; the even rotations form a group of
   order n.
+* The span word of a gluing lists each point's clockwise span
+  ``(partner - point) mod 2n``, points ``1..2n`` in order.  Rotating by k
+  shifts it cyclically by k, and span words order gluings as their
+  flattened normal forms do: where two words first differ, at point i, the
+  equal prefix has fixed the chords before i and left i unmatched, so i
+  opens the next chord in both and the greater span is the greater partner.
+  :func:`rotate`, :func:`canonical_form`, :func:`isomorphic` and the census
+  work on span words.
 
 All values are immutable; every function here is pure and safe to share
 between threads or processes.
@@ -26,7 +34,7 @@ import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import (
     DuplicateIndexError,
@@ -119,9 +127,9 @@ class Gluing(NamedTuple):
             for c in chords
         ):
             raise GluingParseError("'chords' must be a list of integer index pairs")
-        if "n" in obj and obj["n"] != len(chords):
+        if "n" in obj and (type(obj["n"]) is not int or obj["n"] != len(chords)):
             raise GluingParseError(
-                f"declared n={obj['n']} but {len(chords)} chords given"
+                f"declared n must be the integer {len(chords)}, got {obj['n']!r}"
             )
         return normalize([(a, b) for a, b in chords])
 
@@ -230,6 +238,31 @@ def classify(d: DiagramLike) -> DiagramClass:
     return DiagramClass.N
 
 
+def _span_word(g: Gluing) -> list[int]:
+    """The span word of ``g``: entry i is point i + 1's clockwise span."""
+    pts = g.points
+    word = [0] * pts
+    for a, b in g.chords:
+        word[a - 1] = b - a
+        word[b - 1] = pts + a - b
+    return word
+
+
+def _span_chords(word: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The normal-form chords of a span word: point i opens the chord to
+    i + s exactly when its span s does not wrap, i + s <= 2n."""
+    pts = len(word)
+    return tuple([(i, i + s) for i, s in enumerate(word, 1) if i + s <= pts])
+
+
+def _least_word(g: Gluing) -> list[int]:
+    """The least span word among the even rotations of ``g``: each starts on
+    an odd point's span, so only those starting on the least are compared."""
+    word = _span_word(g)
+    least = min(word[::2])
+    return min(word[e:] + word[:e] for e in range(0, len(word), 2) if word[e] == least)
+
+
 def rotate(g: Gluing, k: int) -> Gluing:
     """Rotate a gluing by k steps: every index d goes to ``d+k mod 2n``.
 
@@ -240,47 +273,16 @@ def rotate(g: Gluing, k: int) -> Gluing:
     k = _integer(k, "rotation shift")
     if not 1 <= k <= pts:
         raise InvalidArgumentError(f"rotation shift must be in 1..{pts}, got {k}")
-    return _sorted_gluing(((a + k - 1) % pts + 1, (b + k - 1) % pts + 1) for a, b in g.chords)
-
-
-def _least_rotation(g: Gluing) -> list[int]:
-    """The least 0-based partner array among the even rotations of ``g``.
-
-    The orbit is searched on the 0-based partner array ``p`` (``p[i]`` is
-    the partner of point ``i + 1``, less one), never on rotated gluings.
-    Lex order on partner arrays equals lex order on flattened normal forms:
-    where two arrays first differ, at index i, both partners lie above i
-    (a partner below i would have been fixed by the equal prefix), so i is
-    the next chord start in both and its partner is the next flattened
-    value.  The even rotation that brings odd point ``e + 1`` to point 1
-    starts its array with e's clockwise span ``(p[e] - e) mod 2n``, so the
-    orbit minimum is among the rotations whose odd-point span is least.
-    The n spans cost O(n); only the tied candidates, one unless the
-    stabilizer or the chord pattern makes spans repeat, are built in full
-    (O(n) each) and compared.
-    """
-    pts = g.points
-    p = [x - 1 for x in g.partner_map()[1:]]
-    spans = [(p[e] - e) % pts for e in range(0, pts, 2)]
-    least = min(spans)
-    return min(
-        [(x - e) % pts for x in p[e:] + p[:e]]
-        for e, span in zip(range(0, pts, 2), spans)
-        if span == least
-    )
+    word = _span_word(g)
+    return _trusted_gluing((_span_chords(word[-k:] + word[:-k]),))
 
 
 def canonical_form(d: DiagramLike) -> Gluing:
-    """Orbit representative under even rotations.
-
-    Returns the lexicographically least gluing (flattened-sequence order)
-    among ``rotate(g, 2m)`` for ``m = 1..n``.  Two diagrams are isomorphic
-    exactly when their canonical forms coincide.  Only the least partner
-    array found by :func:`_least_rotation` becomes a ``Gluing``.
-    """
-    best = _least_rotation(_gluing_of(d))
-    chords = tuple((i + 1, x + 1) for i, x in enumerate(best) if x > i)
-    return _trusted_gluing((chords,))
+    """Orbit representative under even rotations: the least gluing
+    (flattened-sequence order) among ``rotate(g, 2m)`` for ``m = 1..n``,
+    decoded from the least span word.  Two diagrams are isomorphic exactly
+    when their canonical forms coincide."""
+    return _trusted_gluing((_span_chords(_least_word(_gluing_of(d))),))
 
 
 def isomorphic(d1: DiagramLike, d2: DiagramLike) -> bool:
@@ -288,7 +290,7 @@ def isomorphic(d1: DiagramLike, d2: DiagramLike) -> bool:
     g1, g2 = _gluing_of(d1), _gluing_of(d2)
     if g1.n != g2.n:
         raise SizeMismatchError(f"cannot compare n={g1.n} with n={g2.n}")
-    return _least_rotation(g1) == _least_rotation(g2)
+    return _least_word(g1) == _least_word(g2)
 
 
 def recolor_shift(d: DiagramLike) -> DiagramLike:

@@ -361,6 +361,12 @@ class TestIntegerArguments:
         with pytest.raises(InvalidArgumentError, match="integer"):
             call()
 
+    @pytest.mark.parametrize("p", ["3", 3.0, None])
+    def test_non_integer_primes_rejected(self, p):
+        for shortcut in (colored_classes_prime, o_classes_prime):
+            with pytest.raises(InvalidArgumentError, match="prime p"):
+                shortcut(p)
+
     def test_whole_float_order_is_bad_input_not_a_broken_formula(self):
         # DivisibilityError flags a bug; a float order is the caller's error
         with pytest.raises(InvalidArgumentError):
@@ -372,6 +378,8 @@ class TestIntegerArguments:
         assert type(total_gluings(np.int64(20))) is int
         assert colored_fixed(np.int64(20), np.int32(4)) == colored_fixed(20, 4)
         assert type(colored_classes(np.int64(20))) is int
+        assert colored_classes_prime(np.int64(5)) == 193
+        assert o_classes_prime(np.int32(7)) == 726
         table = build_table(np.int64(2), np.int8(3))
         assert table == build_table(2, 3)
         assert all(type(row.n) is int for row in table.rows)

@@ -28,7 +28,8 @@ from chord_census import (
     rotate,
 )
 
-from oracles import canonical_matching, matching_key, rotate_matching
+from chord_census.diagram import _span_chords
+from oracles import all_matchings, canonical_matching, matching_key, rotate_matching, span_word
 
 
 def chords_of(text: str) -> Gluing:
@@ -128,6 +129,19 @@ class TestParsing:
     def test_json_n_mismatch(self):
         with pytest.raises(GluingParseError):
             Gluing.from_json({"n": 3, "chords": [[1, 2]]})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": True, "chords": [[1, 2]]},
+            {"n": 1.0, "chords": [[1, 2]]},
+            '{"n": "1", "chords": [[1, 2]]}',
+        ],
+        ids=["bool", "float", "string"],
+    )
+    def test_json_non_integer_n_rejected(self, obj):
+        with pytest.raises(GluingParseError):
+            Gluing.from_json(obj)
 
     @pytest.mark.parametrize(
         "obj",
@@ -237,6 +251,13 @@ class TestRotate:
         assert rotate(g, g.points) == g
 
 
+class TestSpanWord:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_span_chords_rebuild_every_gluing(self, n):
+        for m in all_matchings(n):
+            assert _span_chords(span_word(m, 2 * n)) == matching_key(m)
+
+
 class TestCanonicalForm:
     def test_cross_diagram_is_its_own_form(self):
         # (1,4)(2,3) is fixed by the shift 2, so the orbit is a singleton
@@ -261,6 +282,13 @@ class TestCanonicalForm:
             frozenset(frozenset(c) for c in g.chords), g.points, even_only=True
         )
         assert form.chords == oracle_key
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_gluing_matches_oracle(self, n):
+        for m in all_matchings(n):
+            assert canonical_form(normalize(m)).chords == canonical_matching(
+                m, 2 * n, even_only=True
+            )
 
     @staticmethod
     def assert_matches_oracle(g):
