@@ -194,14 +194,13 @@ def _cmd_enumerate(args) -> int:
         if args.diagram_class is DiagramClass.O
         else enumerate_gluings(args.n)
     )
-    # class N: the gluings with a chord joining two points of equal parity
-    same_parity = None
-    if args.diagram_class is DiagramClass.N:
-        pts = 2 * args.n
-        same_parity = {(a, b) for a in range(1, pts) for b in range(a + 2, pts + 1, 2)}
+    # class N is class all less class O, a subsequence in the same order
+    o_stream = enumerate_o_gluings(args.n) if args.diagram_class is DiagramClass.N else iter(())
+    skip = next(o_stream, None)
     emitted = 0
     for g in stream:
-        if same_parity is not None and same_parity.isdisjoint(g.chords):
+        if g == skip:
+            skip = next(o_stream, None)
             continue
         if args.format == "json":
             print(json.dumps(g.to_json_dict(), sort_keys=True))

@@ -7,17 +7,19 @@ makes N-diagrams non-orientable.  The surface boundary splits into
 monochromatic circles: each circle alternates circle arcs of one color with
 band sides, and we call them b-cycles and w-cycles.
 
-Tracing rule (clockwise first): walk an arc to its end point, cross the
-chord there, and continue along the adjacent arc of the same color.  The
-continuation direction is forced by parity - after landing on point q, the
-black arc at q runs clockwise when q is odd and counterclockwise when q is
-even (mirrored for white).  Crossing a same-parity chord therefore reverses
-the travel direction around the circle, which is exactly the twisted band.
-Each new cycle starts at the least-numbered unvisited arc of its color,
-traversed clockwise, so output is deterministic.
+A circle of one color is one orbit of two pairings of the points: the
+chords, and that color's arcs.  Enter an arc at x and leave at its other
+end y, which is x + 1 when x has the color's parity (odd for black, even
+for white) and x - 1 otherwise, mod 2n; then cross the chord at y and
+enter the next arc.  The circle closes when the walk comes back to its
+start.  An entry of the color's parity runs clockwise and any other
+counterclockwise; a chord joining two points of equal parity changes the
+entry parity, so the walk turns around the circle: the twisted band.  Each
+new circle starts at the least-numbered unvisited arc of its color,
+entered at that arc's id, so output is deterministic.
 
 Both colors are traced by one integer walk over the partner list, which
-records each circle as its arcs in walk order, signed by direction.
+records each circle as its exit points in walk order.
 ``trace_cycles`` decorates those lists into arc and chord steps;
 ``cycle_counts`` and ``surface_type`` only count them and build no steps.
 
@@ -164,11 +166,10 @@ class SurfaceType:
 def _boundary_walk(
     partner: list[int], pts: int
 ) -> tuple[list[list[int]], list[list[int]]]:
-    """The b-cycles and the w-cycles, each as its arcs in walk order.
+    """The b-cycles and the w-cycles, each as its exit points in walk order.
 
-    An arc s appears as ``s`` when entered clockwise and as ``-s`` when
-    entered counterclockwise.  Black arcs have odd ids and white arcs even
-    ids, so one visited table serves both colors.
+    Black arcs have odd ids and white arcs even ids, so one visited table
+    serves both colors.
     """
     visited = bytearray(pts + 1)
     b_cycles: list[list[int]] = []
@@ -176,30 +177,23 @@ def _boundary_walk(
     for s0 in range(1, pts + 1):
         if visited[s0]:
             continue
-        parity = s0 & 1  # clockwise entry parity of this color: 1 black, 0 white
-        arcs = []
-        s, cw = s0, True
+        parity = s0 & 1  # the color's parity: 1 black, 0 white
+        exits = []
+        x = s0
         while True:
-            visited[s] = 1
-            if cw:
-                arcs.append(s)
-                q = partner[s % pts + 1]
-            else:
-                arcs.append(-s)
-                q = partner[s]
-            # unique same-color arc at q: forward (clockwise) iff the parity
-            # of q matches the color's clockwise entry parity
-            if q & 1 == parity:
-                s, cw = q, True
-            else:
-                s, cw = (q - 2) % pts + 1, False
-            if s == s0:
-                if not cw:  # a boundary circle covers each arc exactly once
-                    raise AssertionError("re-entered start arc reversed")
-                break
-            if visited[s]:
+            if x & 1 == parity:  # the arc's id is x, its other end x + 1
+                arc = x
+                y = x % pts + 1
+            else:  # the arc's id is its other end x - 1, or 2n when x = 1
+                arc = y = x - 1 or pts
+            if visited[arc]:
                 raise AssertionError("arc revisited before cycle closed")
-        (b_cycles if parity else w_cycles).append(arcs)
+            visited[arc] = 1
+            exits.append(y)
+            x = partner[y]
+            if x == s0:
+                break
+        (b_cycles if parity else w_cycles).append(exits)
     return b_cycles, w_cycles
 
 
@@ -209,15 +203,15 @@ _arc_step = functools.partial(tuple.__new__, ArcStep)
 _chord_step = functools.partial(tuple.__new__, ChordStep)
 
 
-def _decorate(arcs: list[int], color: Color, partner: list[int], pts: int) -> Cycle:
+def _decorate(exits: list[int], color: Color, partner: list[int]) -> Cycle:
+    """A circle's steps from its exit points: the first arc is entered
+    across the chord at the last exit."""
     steps: list[Step] = []
-    for s in arcs:
-        if s > 0:
-            enter, exit_ = s, s % pts + 1
-        else:
-            enter, exit_ = -s % pts + 1, -s
-        steps.append(_arc_step((enter, exit_, color)))
-        steps.append(_chord_step((exit_, partner[exit_])))
+    enter = partner[exits[-1]]
+    for y in exits:
+        steps.append(_arc_step((enter, y, color)))
+        enter = partner[y]
+        steps.append(_chord_step((y, enter)))
     return Cycle(color, tuple(steps))
 
 
@@ -228,11 +222,11 @@ def trace_cycles(d: DiagramLike) -> CycleDecomposition:
     exactly one w-cycle; cycles alternate arcs and chords and close up.
     """
     g = _gluing_of(d)
-    partner, pts = g.partner_map(), g.points
-    b_cycles, w_cycles = _boundary_walk(partner, pts)
+    partner = g.partner_map()
+    b_cycles, w_cycles = _boundary_walk(partner, g.points)
     return CycleDecomposition(
-        b_cycles=tuple(_decorate(c, Color.BLACK, partner, pts) for c in b_cycles),
-        w_cycles=tuple(_decorate(c, Color.WHITE, partner, pts) for c in w_cycles),
+        b_cycles=tuple(_decorate(c, Color.BLACK, partner) for c in b_cycles),
+        w_cycles=tuple(_decorate(c, Color.WHITE, partner) for c in w_cycles),
     )
 
 

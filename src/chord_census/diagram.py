@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import json
-import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -44,6 +43,7 @@ from .errors import (
     MissingIndexError,
     SelfPairError,
     SizeMismatchError,
+    _index,
     _integer,
 )
 
@@ -190,13 +190,13 @@ def normalize(pairs: Iterable[tuple[int, int]]) -> Gluing:
 
     The pairs must partition ``{1..2n}`` where n >= 1 is the number of
     pairs.  Raises :class:`InvalidGluingError` for no pairs, a pair of
-    other than two points or points that are not integers, and
-    :class:`SelfPairError`, :class:`DuplicateIndexError` or
+    other than two points or points that are not integers (bools are not),
+    and :class:`SelfPairError`, :class:`DuplicateIndexError` or
     :class:`MissingIndexError` otherwise.
     Idempotent on normal input.
     """
     try:
-        pair_list = [(operator.index(a), operator.index(b)) for a, b in pairs]
+        pair_list = [(_index(a), _index(b)) for a, b in pairs]
     except (TypeError, ValueError):  # a point not an integer, a pair not of two
         raise InvalidGluingError("a gluing needs pairs of integer points") from None
     n = len(pair_list)

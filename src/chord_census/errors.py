@@ -7,7 +7,7 @@ from :class:`ValueError`; the two arithmetic sentinels derive from
 bad inputs.
 
 Every other module imports this one, so it also holds ``_integer``, the one
-reader of integer arguments.
+reader of integer arguments, and ``_index``, its integer rule.
 """
 
 from __future__ import annotations
@@ -99,15 +99,23 @@ class BudgetExceededError(ChordCensusError, RuntimeError):
     """A brute-force run would enumerate more gluings than the work budget."""
 
 
+def _index(value) -> int:
+    """``value`` as a Python int through ``operator.index``, which Python
+    and numpy integers pass; a bool, an int subclass, raises TypeError."""
+    if isinstance(value, bool):
+        raise TypeError
+    return operator.index(value)
+
+
 def _integer(value, what: str, least: Optional[int] = None) -> int:
     """``value`` as a Python int, at least ``least`` when one is given.
 
-    Python and numpy integers pass through ``operator.index``; floats,
+    Python and numpy integers pass through ``_index``; bools, floats,
     strings and values below the bound raise :class:`InvalidArgumentError`,
     so every count computed from the result stays an exact integer.
     """
     try:
-        value = operator.index(value)
+        value = _index(value)
     except TypeError:
         raise InvalidArgumentError(f"{what} must be an integer, got {value!r}") from None
     if least is not None and value < least:

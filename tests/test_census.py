@@ -467,6 +467,12 @@ class TestShardTask:
             results.append((orbit_census(8), orbit_census(9, DiagramClass.O)))
         assert results[0] == results[1]
 
+    def test_shifts_that_are_no_group_raise(self):
+        # {0, 2, 4} of Z_8 is no group: (1,2)(3,8)(4,7)(5,6) is fixed by the
+        # half-turn alone, and a stabilizer of order 2 does not divide 3.
+        with pytest.raises(AssertionError, match="stabilizer order does not divide"):
+            shard_task(4, DiagramClass.ALL, (1,), [2, 4], False)
+
     def test_every_n7_shard_matches_pinned_digest(self):
         # sha256 over repr() of every tuple, in loop order, pinned from the
         # engine that still had a class-N shard path (class N is now class
@@ -968,7 +974,7 @@ class TestCountFixed:
         with pytest.raises(ValueError):
             count_fixed(3, 3)
 
-    @pytest.mark.parametrize("k", [2.0, "2"])
+    @pytest.mark.parametrize("k", [2.0, "2", True])
     def test_non_integer_shift_rejected(self, k):
         with pytest.raises(InvalidArgumentError, match="integer"):
             count_fixed(3, k)
@@ -1034,7 +1040,7 @@ CENSUS_ORDER_ENTRIES = {
 
 
 class TestIntegerArguments:
-    @pytest.mark.parametrize("value", [2.0, "2"], ids=["float", "string"])
+    @pytest.mark.parametrize("value", [2.0, "2", True], ids=["float", "string", "bool"])
     @pytest.mark.parametrize(
         "entry", CENSUS_ORDER_ENTRIES.values(), ids=CENSUS_ORDER_ENTRIES
     )
@@ -1044,8 +1050,8 @@ class TestIntegerArguments:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(workers=2.0), dict(workers="2"), dict(budget=1e9)],
-        ids=["float workers", "string workers", "float budget"],
+        [dict(workers=2.0), dict(workers="2"), dict(workers=True), dict(budget=1e9)],
+        ids=["float workers", "string workers", "bool workers", "float budget"],
     )
     def test_non_integer_workers_or_budget_rejected(self, kwargs):
         with pytest.raises(InvalidArgumentError, match="integer"):

@@ -340,7 +340,7 @@ ORDER_ENTRIES = {
 
 
 class TestIntegerArguments:
-    @pytest.mark.parametrize("value", [2.0, "2"], ids=["float", "string"])
+    @pytest.mark.parametrize("value", [2.0, "2", True], ids=["float", "string", "bool"])
     @pytest.mark.parametrize("entry", ORDER_ENTRIES.values(), ids=ORDER_ENTRIES)
     def test_non_integer_order_rejected(self, entry, value):
         with pytest.raises(InvalidArgumentError, match="integer"):

@@ -183,6 +183,12 @@ class TestCycleInvariants:
             )
             assert used == sorted(g.chords)
 
+    def test_walk_refuses_a_partner_list_that_is_no_involution(self):
+        # partner[4] = 1, but partner[1] = 2: the black walk from arc 3
+        # crosses 4 -> 1 into arc 1, which closed the first b-cycle.
+        with pytest.raises(AssertionError, match="arc revisited before cycle closed"):
+            cycles_mod._boundary_walk([0, 2, 1, 4, 1, 6, 5], 6)
+
 
 class TestSurfaceType:
     def test_annulus(self):

@@ -48,6 +48,7 @@ class TestNormalize:
     def test_worked_example_normalizes(self):
         pairs = {(8, 1), (2, 4), (3, 7), (12, 5), (6, 9), (10, 11)}
         assert normalize(pairs).text() == "(1,8)(2,4)(3,7)(5,12)(6,9)(10,11)"
+        assert str(normalize(pairs)) == "(1,8)(2,4)(3,7)(5,12)(6,9)(10,11)"
 
     def test_single_chord(self):
         assert normalize([(2, 1)]).chords == ((1, 2),)
@@ -81,8 +82,11 @@ class TestNormalize:
 
     @pytest.mark.parametrize(
         "pairs",
-        [[(1.7, 2.2)], [(1.0, 2.0)], [("1", "2")], [(1, 4), (2, "3")], [(None, 2)]],
-        ids=["fractions", "whole floats", "strings", "one string", "none"],
+        [
+            [(1.7, 2.2)], [(1.0, 2.0)], [("1", "2")], [(1, 4), (2, "3")], [(None, 2)],
+            [(True, 2)],
+        ],
+        ids=["fractions", "whole floats", "strings", "one string", "none", "bool"],
     )
     def test_non_integer_points_rejected(self, pairs):
         with pytest.raises(InvalidGluingError, match="integer"):
@@ -191,6 +195,7 @@ class TestClassify:
     def test_color_diagram_wrapper(self):
         d = ColorDiagram.parse("(1,3)(2,4)")
         assert d.diagram_class() is DiagramClass.N
+        assert str(d) == "(1,3)(2,4)"
 
     @given(gluings(), st.data())
     def test_class_survives_any_rotation(self, g, data):
@@ -218,7 +223,7 @@ class TestRotate:
         with pytest.raises(ValueError):
             rotate(chords_of("(1,2)"), 3)
 
-    @pytest.mark.parametrize("k", [2.0, 1.5, "2", None])
+    @pytest.mark.parametrize("k", [2.0, 1.5, "2", None, True])
     def test_non_integer_shift_rejected(self, k):
         with pytest.raises(InvalidArgumentError, match="integer"):
             rotate(chords_of("(1,3)(2,4)"), k)

@@ -71,6 +71,7 @@ class TestRoundTrip:
         for d in diagrams(n):
             s = diagram_to_spin_graph(d)
             s.validate()
+            assert s.n == d.n
             assert spin_graph_to_diagram(s) == d
 
     def test_o_diagram_loops_pair_opposite_parity(self):
