@@ -381,7 +381,7 @@ def _shard_task(args: tuple) -> tuple:
     alive, shift = alive[same], shift[same]
 
     runs, width = len(fps), rows // len(fps)
-    fixed = np.bincount(shift, minlength=pts)[shifts].tolist()
+    fixed = np.bincount(shift, minlength=pts).take(shifts).tolist()
     group_order = len(shifts) + 1
     # Only a fixed gluing has a stabilizer above 1: the identity plus every
     # shift that fixes it.  Fixed pairs are few, so a Counter tallies them as

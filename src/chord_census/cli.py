@@ -71,12 +71,22 @@ def _aligned(rows: list[dict]):
 
 def _emit(args, record: dict, lines) -> None:
     """Print ``record`` as JSON under ``--format json``, else each of ``lines``,
-    which is read only then, so a lazy iterable formats no unused text."""
-    if args.format == "json":
-        print(json.dumps(record, sort_keys=True, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    which is read only then, so a lazy iterable formats no unused text.
+    Counts are exact, and (2n-1)!! passes Python's 4300-digit int-to-str
+    limit at n = 1424, so the limit is lifted only while printing: input is
+    parsed under it, and an in-process caller gets it back."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "json":
+            print(json.dumps(record, sort_keys=True, indent=2))
+        else:
+            for line in lines:
+                print(line)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,22 +179,12 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    # (2n-1)!! passes Python's default 4300-digit int-to-str limit at
-    # n = 1424; every cell is an exact count, so print it whole, then give
-    # an in-process caller its limit back.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        table = counting.build_table(args.n_from, args.n_to)
-        if args.format == "csv":
-            sys.stdout.write(table.to_csv())
-        else:
-            record = table.to_json_dict()
-            _emit(args, record, _aligned(record["rows"]))
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    table = counting.build_table(args.n_from, args.n_to)
+    record = table.to_json_dict()
+    # the csv and text views are lazy, so their cells are formatted inside _emit
+    csv_text = map(counting.CountTable.to_csv, [table])
+    csv = itertools.chain.from_iterable(map(str.splitlines, csv_text))
+    _emit(args, record, csv if args.format == "csv" else _aligned(record["rows"]))
     return 0
 
 

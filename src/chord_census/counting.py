@@ -254,7 +254,8 @@ class CountTable:
 
     def to_csv(self) -> str:
         """The header and one line per row; every cell is an int, so no
-        cell ever needs quoting."""
+        cell ever needs quoting.  Cells follow the caller's int-to-str
+        digit limit, which a library must not lift for the whole process."""
         names = [f.name for f in fields(CountRow)]
         cells = operator.attrgetter(*names)
         lines = [",".join(names), *(",".join(map(str, cells(row))) for row in self.rows)]
@@ -267,12 +268,14 @@ class CountTable:
         }
 
     def to_json(self) -> str:
+        """The rows as key-sorted JSON, under the caller's digit limit as in
+        ``to_csv``."""
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def build_table(n_min: int, n_max: int) -> CountTable:
-    """All counts for n in [n_min, n_max], with the N column rederived as a
-    consistency check (d_n = d_double_star - d_o identically)."""
+    """All counts for n in [n_min, n_max].  The N column is defined as
+    d_n = d_double_star - d_o, so it checks nothing on its own."""
     n_min, n_max = _integer(n_min, "n_min"), _integer(n_max, "n_max")
     if n_min < 1 or n_min > n_max:
         raise InvalidArgumentError(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")

@@ -45,6 +45,7 @@ from .errors import (
     SizeMismatchError,
     _index,
     _integer,
+    _shown,
 )
 
 __all__ = [
@@ -105,10 +106,13 @@ class Gluing(NamedTuple):
         """Parse the ``(a,b)(a,b)...`` text form (whitespace tolerated)."""
         if not re.fullmatch(r"(?:\s*\(\s*\d+\s*,\s*\d+\s*\))+\s*", text or ""):
             raise GluingParseError(f"not a gluing: {text!r}")
-        pairs = [
-            (int(a), int(b))
-            for a, b in re.findall(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)", text)
-        ]
+        try:
+            pairs = [
+                (int(a), int(b))
+                for a, b in re.findall(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)", text)
+            ]
+        except ValueError as exc:  # a point past the int-to-str digit limit
+            raise GluingParseError(f"not a gluing: {exc}") from None
         return normalize(pairs)
 
     @classmethod
@@ -117,7 +121,7 @@ class Gluing(NamedTuple):
         if isinstance(obj, str):
             try:
                 obj = json.loads(obj)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
                 raise GluingParseError(f"bad JSON: {exc}") from None
         if not isinstance(obj, dict) or "chords" not in obj:
             raise GluingParseError("JSON gluing must be an object with 'chords'")
@@ -129,7 +133,7 @@ class Gluing(NamedTuple):
             raise GluingParseError("'chords' must be a list of integer index pairs")
         if "n" in obj and (type(obj["n"]) is not int or obj["n"] != len(chords)):
             raise GluingParseError(
-                f"declared n must be the integer {len(chords)}, got {obj['n']!r}"
+                f"declared n must be the integer {len(chords)}, got {_shown(obj['n'])}"
             )
         return normalize([(a, b) for a, b in chords])
 
@@ -206,10 +210,10 @@ def normalize(pairs: Iterable[tuple[int, int]]) -> Gluing:
     seen: set[int] = set()
     for a, b in pair_list:
         if a == b:
-            raise SelfPairError(f"pair ({a},{b}) joins a point to itself")
+            raise SelfPairError(f"pair ({_shown(a)},{_shown(b)}) joins a point to itself")
         for x in (a, b):
             if x in seen:
-                raise DuplicateIndexError(f"point {x} appears more than once")
+                raise DuplicateIndexError(f"point {_shown(x)} appears more than once")
             seen.add(x)
     expected = set(range(1, pts + 1))
     if seen != expected:
@@ -219,7 +223,7 @@ def normalize(pairs: Iterable[tuple[int, int]]) -> Gluing:
         if missing:
             detail.append(f"missing {missing}")
         if stray:
-            detail.append(f"outside 1..{pts}: {stray}")
+            detail.append(f"outside 1..{pts}: [{', '.join(map(_shown, stray))}]")
         raise MissingIndexError(
             f"pairs do not partition 1..{pts} ({'; '.join(detail)})"
         )

@@ -7,7 +7,8 @@ from :class:`ValueError`; the two arithmetic sentinels derive from
 bad inputs.
 
 Every other module imports this one, so it also holds ``_integer``, the one
-reader of integer arguments, and ``_index``, its integer rule.
+reader of integer arguments, ``_index``, its integer rule, and ``_shown``,
+which puts a value in an error message.
 """
 
 from __future__ import annotations
@@ -107,6 +108,15 @@ def _index(value) -> int:
     return operator.index(value)
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or for an int past the int-to-str digit limit its
+    bit length: an error message never lifts the limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{value.bit_length()}-bit integer>"
+
+
 def _integer(value, what: str, least: Optional[int] = None) -> int:
     """``value`` as a Python int, at least ``least`` when one is given.
 
@@ -119,5 +129,5 @@ def _integer(value, what: str, least: Optional[int] = None) -> int:
     except TypeError:
         raise InvalidArgumentError(f"{what} must be an integer, got {value!r}") from None
     if least is not None and value < least:
-        raise InvalidArgumentError(f"{what} must be >= {least}, got {value}")
+        raise InvalidArgumentError(f"{what} must be >= {least}, got {_shown(value)}")
     return value

@@ -473,6 +473,13 @@ class TestShardTask:
         with pytest.raises(AssertionError, match="stabilizer order does not divide"):
             shard_task(4, DiagramClass.ALL, (1,), [2, 4], False)
 
+    def test_shifts_as_tuple_or_range_match_the_list(self):
+        shifts, _ = _group_shifts(4, False)
+        assert shifts == [2, 4, 6]
+        expected = shard_task(4, DiagramClass.ALL, (1,), shifts, True)
+        assert shard_task(4, DiagramClass.ALL, (1,), tuple(shifts), True) == expected
+        assert shard_task(4, DiagramClass.ALL, (1,), range(2, 8, 2), True) == expected
+
     def test_every_n7_shard_matches_pinned_digest(self):
         # sha256 over repr() of every tuple, in loop order, pinned from the
         # engine that still had a class-N shard path (class N is now class

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import json
+import math
 import sys
 
 import pytest
@@ -95,6 +98,19 @@ def test_json_formats_no_text_line(capsys, monkeypatch, argv):
     assert code == 0 and json.loads(out)
 
 
+@contextlib.contextmanager
+def no_digit_limit():
+    """Lift Python's int-to-str digit limit, then give it back."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 class TestTable:
     def test_csv_reproduces_reference_columns(self, capsys):
         code, out, _ = run(capsys, "table", "--from", "2", "--to", "11",
@@ -125,15 +141,8 @@ class TestTable:
         assert out.count("\n") == 2
         total = row.split(",")[header.split(",").index("total")]
         assert len(total) > 4300
-        set_limit = getattr(sys, "set_int_max_str_digits", None)
-        if set_limit is not None:
-            limit = sys.get_int_max_str_digits()
-            set_limit(0)
-        try:
+        with no_digit_limit():
             assert int(total) == counting.double_factorial(2999)
-        finally:
-            if set_limit is not None:
-                set_limit(limit)
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
@@ -142,10 +151,14 @@ class TestTable:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4321)
         try:
-            code, _, _ = run(capsys, "table", "--from", "1500", "--to", "1500",
-                             "--format", "csv")
-            assert code == 0
-            assert sys.get_int_max_str_digits() == 4321
+            for argv in (
+                ["table", "--from", "1500", "--to", "1500", "--format", "csv"],
+                ["count", "--n", "1500"],
+                ["count", "--n", "1500", "--format", "json"],
+            ):
+                code, _, _ = run(capsys, *argv)
+                assert code == 0
+                assert sys.get_int_max_str_digits() == 4321
         finally:
             sys.set_int_max_str_digits(limit)
 
@@ -171,6 +184,26 @@ class TestCount:
         assert json.loads(out) == {
             "class": "n", "classes": 3, "n": 3, "total_gluings": 9,
         }
+
+    # (2n-1)!! first passes Python's 4,300-digit int-to-str limit at
+    # n = 1424, and n! at n = 1559
+    @pytest.mark.parametrize(
+        "n, cls, total",
+        [
+            (1424, "all", lambda n: counting.double_factorial(2 * n - 1)),
+            (1424, "n", lambda n: counting.double_factorial(2 * n - 1) - math.factorial(n)),
+            (1559, "o", math.factorial),
+            (1500, "all", lambda n: counting.double_factorial(2 * n - 1)),
+        ],
+        ids=["all 1424", "n 1424", "o 1559", "all 1500"],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_prints_counts_past_the_int_digit_limit(self, capsys, n, cls, total, fmt):
+        code, out, err = run(capsys, "count", "--n", str(n), "--class", cls, "--format", fmt)
+        assert (code, err) == (0, "")
+        with no_digit_limit():
+            record = json.loads(out) if fmt == "json" else dict(w.split("=") for w in out.split())
+            assert int(record["total_gluings"]) == total(n)
 
 
 class TestEnumerate:
@@ -203,6 +236,15 @@ class TestEnumerate:
         _, out, _ = run(capsys, "enumerate", "--n", "2", "--format", "json")
         rows = [json.loads(line) for line in out.strip().split("\n")]
         assert rows[0] == {"chords": [[1, 2], [3, 4]], "n": 2}
+
+    def test_progress_every_million_gluings(self, capsys, monkeypatch):
+        import chord_census.cli as cli_mod
+
+        g = Gluing.parse("(1,2)")
+        monkeypatch.setattr(cli_mod, "enumerate_gluings", lambda n: itertools.repeat(g, 10**6))
+        code, out, err = run(capsys, "enumerate", "--n", "1", "--progress")
+        assert code == 0 and out.count("\n") == 10**6
+        assert err.endswith("enumerated=1000000\n")
 
 
 class TestOrbits:
@@ -365,6 +407,7 @@ class TestErrorContract:
             ["enumerate", "--n", "0"],
             ["verify", "--to", "1"],
             ["verify", "--to", "-3", "--workers", "0"],
+            ["canon", f"(1,{'9' * 5000})"],  # a point past the int-to-str digit limit
         ],
     )
     def test_bad_argument_values_exit_2(self, capsys, argv):
@@ -415,6 +458,7 @@ class TestErrorContract:
             lambda: rotate(Gluing.parse("(1,2)"), 3),
             lambda: enumerate_gluings(0),
             lambda: enumerate_o_gluings(0),
+            lambda: counting.total_gluings(-(10**5000)),
         ],
     )
     def test_argument_checks_raise_package_error(self, call):

@@ -15,6 +15,7 @@ from chord_census import (
     Color,
     DiagramClass,
     Gluing,
+    InconsistentTopologyError,
     classify,
     cycle_counts,
     enumerate_gluings,
@@ -221,6 +222,19 @@ class TestSurfaceType:
         else:
             assert s.genus >= 1
             assert 2 - s.genus - s.boundary_components == s.euler_characteristic
+
+    @pytest.mark.parametrize(
+        "text, circles, message",
+        [("(1,2)(3,4)", 2, "no orientable genus"), ("(1,3)(2,4)", 3, "no cross-cap count")],
+        ids=["class O", "class N"],
+    )
+    def test_a_boundary_count_with_no_surface_raises(self, monkeypatch, text, circles, message):
+        # chi = -1 at n = 2: an odd 2g for class O, no cross-cap for class N
+        monkeypatch.setattr(
+            cycles_mod, "_boundary_walk", lambda partner, pts: ([[1]] * circles, [])
+        )
+        with pytest.raises(InconsistentTopologyError, match=message):
+            surface_type(Gluing.parse(text))
 
 
 def random_sample(seed: int, count: int) -> list[Gluing]:

@@ -80,6 +80,21 @@ class TestNormalize:
         with pytest.raises(InvalidGluingError):
             normalize([])
 
+    # a point past Python's 4,300-digit int-to-str limit is named without its digits
+    @pytest.mark.parametrize(
+        "pairs, error",
+        [
+            ([(1, 10**5000)], MissingIndexError),
+            ([(10**5000, 10**5000)], SelfPairError),
+            ([(1, 2), (10**5000, 3)], MissingIndexError),
+            ([(10**5000, 1), (10**5000, 2)], DuplicateIndexError),
+        ],
+        ids=["stray", "self pair", "stray after pair", "duplicate"],
+    )
+    def test_point_past_the_int_digit_limit_rejected(self, pairs, error):
+        with pytest.raises(error, match="16610-bit integer"):
+            normalize(pairs)
+
     @pytest.mark.parametrize(
         "pairs",
         [
@@ -117,7 +132,13 @@ class TestParsing:
     def test_whitespace_tolerated(self):
         assert Gluing.parse(" (1,4) ( 2 , 3 ) ").text() == "(1,4)(2,3)"
 
-    @pytest.mark.parametrize("bad", ["", "1,2", "(1,2", "(1,2)x(3,4)", "(a,b)"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "", "1,2", "(1,2", "(1,2)x(3,4)", "(a,b)",
+            pytest.param(f"(1,{'9' * 5000})", id="point past the int-to-str digit limit"),
+        ],
+    )
     def test_garbage_rejected(self, bad):
         with pytest.raises(GluingParseError):
             Gluing.parse(bad)
@@ -161,6 +182,17 @@ class TestParsing:
     def test_json_non_integer_points_rejected(self, obj):
         with pytest.raises(GluingParseError):
             Gluing.from_json(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [f'{{"chords": [[1, {"9" * 5000}]]}}', f'{{"n": {"9" * 5000}, "chords": [[1, 2]]}}',
+         {"n": 10**5000, "chords": [[1, 2]]}],
+        ids=["point text", "n text", "n"],
+    )
+    def test_json_past_the_int_digit_limit_rejected(self, obj):
+        with pytest.raises(GluingParseError) as exc:
+            Gluing.from_json(obj)
+        assert "9" * 100 not in str(exc.value)
 
     @pytest.mark.parametrize(
         "obj", ['{"chords": [[1, 2]]', "chords", "[[1, 2]]", '"(1,2)"', [[1, 2]], None],
