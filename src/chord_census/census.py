@@ -76,6 +76,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import math
 import os
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
@@ -84,9 +85,8 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 if TYPE_CHECKING:  # numpy loads with the first census, inside the engine
     import numpy as np
 
-from .counting import total_gluings, total_o_gluings
 from .diagram import DiagramClass, Gluing, _span_chords, _trusted_gluing, classify
-from .errors import BudgetExceededError, InvalidArgumentError, _integer
+from .errors import BudgetExceededError, InvalidArgumentError, _integer, _shown
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -414,18 +414,20 @@ def _resolve_budget(budget: Optional[int]) -> int:
             budget = int(env) if env else DEFAULT_BUDGET
         except ValueError:
             raise InvalidArgumentError(
-                f"{BUDGET_ENV_VAR} must be an integer, got {env!r}"
+                f"{BUDGET_ENV_VAR} must be an integer, got {_shown(env)}"
             ) from None
     return _integer(budget, "budget", 1)
 
 
 def _charge_budget(n: int, cls: DiagramClass, budget: Optional[int]) -> int:
-    """The gluings a census of ``cls`` works through, once within budget."""
+    """The gluings a census of ``cls`` works through, once within budget: the
+    product of each table level's first-partner count (N is charged as all)."""
     limit = _resolve_budget(budget)
-    work = total_o_gluings(n) if cls is DiagramClass.O else total_gluings(n)
+    o_only = cls is DiagramClass.O
+    work = math.prod(len(_first_partners(pts, o_only)) for pts in range(2, 2 * n + 1, 2))
     if work > limit:
         raise BudgetExceededError(
-            f"{work} gluings exceed the budget of {limit}; raise budget or "
+            f"{work} gluings exceed the budget of {_shown(limit)}; raise budget or "
             f"set {BUDGET_ENV_VAR}"
         )
     return work
@@ -465,7 +467,7 @@ def orbit_census(
     summed before ``progress`` gets its numbers, so it fires once per shard
     and records keep column order.  ``workers`` is an upper bound: tasks go
     to a process pool of at most that many workers (and at most one per
-    shard) only for a census of at least 10^7 gluings.  Results are
+    task) only for a census of at least 10^7 gluings.  Results are
     identical for every ``workers`` setting.  Class N is a class-all census
     less a class-O one, each deciding on its own pool; ``progress`` gets its
     numbers after each class-all shard.
@@ -475,10 +477,12 @@ def orbit_census(
     try:
         diagram_class = DiagramClass(diagram_class)
     except ValueError:
-        raise InvalidArgumentError(f"class must be all, o or n, got {diagram_class!r}") from None
+        raise InvalidArgumentError(
+            f"class must be all, o or n, got {_shown(diagram_class)}"
+        ) from None
     if n > _MAX_ENGINE_ORDER:
         raise InvalidArgumentError(
-            f"the uint8 census engine needs n <= {_MAX_ENGINE_ORDER}, got {n}"
+            f"the uint8 census engine needs n <= {_MAX_ENGINE_ORDER}, got {_shown(n)}"
         )
     work = _charge_budget(n, diagram_class, budget)
     if diagram_class is DiagramClass.N:
@@ -500,8 +504,6 @@ def orbit_census(
     shifts, group_order = _group_shifts(n, full_rotation_group)
     fps = _first_partners(2 * n, diagram_class is DiagramClass.O)
     width = work // len(fps)  # gluings in every shard
-    # a pool forks all its workers up front
-    workers = min(workers, len(fps)) if work >= _POOL_MIN_GLUINGS else 1
     # Consecutive shards run as one kernel task of at most _RUN_COLUMNS
     # gluings.  A wider shard runs alone, cut into equal column blocks of at
     # most _BLOCK_COLUMNS, so no task is both a run and a block.  A census
@@ -514,6 +516,8 @@ def orbit_census(
         for i in range(0, len(fps), per_task)
         for cols in zip(cuts, cuts[1:])
     ]
+    # a pool forks all its workers up front
+    workers = min(workers, len(tasks)) if work >= _POOL_MIN_GLUINGS else 1
     total = orbit_count = size_sum = 0
     fixed = [0] * len(shifts)
     records: list[tuple] = []
@@ -590,9 +594,10 @@ def count_fixed(
     several shifts should run ``orbit_census`` once and read its
     ``fixed_counts``.
     """
-    n, k = _integer(n, "diagram order", 1), _integer(k, "rotation shift")
-    if k % 2 != 0 or not 1 <= k <= 2 * n:
-        raise InvalidArgumentError(f"shift must be even and within 1..{2 * n}, got {k}")
+    n = _integer(n, "diagram order", 1)
+    k = _integer(k, "rotation shift", 1, 2 * n)
+    if k % 2 != 0:
+        raise InvalidArgumentError(f"rotation shift must be even, got {_shown(k)}")
     census = orbit_census(
         n, diagram_class, keep_orbits=False, budget=budget, workers=workers
     )

@@ -30,6 +30,8 @@ from .errors import (
     InvalidArgumentError,
     InvalidGluingError,
     SizeMismatchError,
+    _integer,
+    _shown,
 )
 from .render import render_svg
 
@@ -50,7 +52,7 @@ def _class_arg(value: str) -> DiagramClass:
     try:
         return DiagramClass(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"class must be all, o or n, not {value!r}")
+        raise argparse.ArgumentTypeError(f"class must be all, o or n, not {_shown(value)}")
 
 
 def _key_values(record: dict) -> str:
@@ -316,10 +318,9 @@ def _verify_checks(n_to: int, budget, workers):
 
 
 def _cmd_verify(args) -> int:
-    if args.n_to < 2:
-        raise InvalidArgumentError(f"--to must be >= 2, got {args.n_to}")
+    n_to = _integer(args.n_to, "--to", 2)
     checks = []
-    for label, expected, got in _verify_checks(args.n_to, args.budget, args.workers):
+    for label, expected, got in _verify_checks(n_to, args.budget, args.workers):
         ok = expected == got
         checks.append({"label": label, "ok": ok, "expected": expected, "got": got})
         if args.format == "text":

@@ -37,6 +37,7 @@ from .errors import (
     NonDivisorError,
     NotPrimeError,
     _integer,
+    _shown,
 )
 
 __all__ = [
@@ -63,7 +64,7 @@ def double_factorial(m: int) -> int:
     """m!! for odd m >= -1, with the empty-product convention (-1)!! = 1."""
     m = _integer(m, "double factorial argument")
     if m < -1 or m % 2 == 0:
-        raise EvenInputError(f"double factorial needs an odd m >= -1, got {m}")
+        raise EvenInputError(f"double factorial needs an odd m >= -1, got {_shown(m)}")
     return math.prod(range(m, 1, -2))
 
 
@@ -108,7 +109,7 @@ def colored_fixed(n: int, m: int) -> int:
     uncolored count ``uncolored_fixed(n, 2m)``, the same formula at k = 2m."""
     n, m = _integer(n, "diagram order", 1), _integer(m, "divisor m")
     if m < 1 or n % m != 0:
-        raise NonDivisorError(f"need m | n, got m={m}, n={n}")
+        raise NonDivisorError(f"need m | n, got m={_shown(m)}, n={_shown(n)}")
     return uncolored_fixed(n, 2 * m)
 
 
@@ -120,7 +121,7 @@ def uncolored_fixed(n: int, k: int) -> int:
     """
     n, k = _integer(n, "diagram order", 1), _integer(k, "rotation k")
     if k < 1 or (2 * n) % k != 0:
-        raise NonDivisorError(f"need k | 2n, got k={k}, n={n}")
+        raise NonDivisorError(f"need k | 2n, got k={_shown(k)}, n={_shown(n)}")
     return next(itertools.islice(_fixed_series(2 * n // k), k, None))
 
 
@@ -145,7 +146,7 @@ def o_fixed(n: int, i: int) -> int:
     """O-gluings fixed by the even rotation 2i, for i dividing n: i!*(n/i)**i."""
     n, i = _integer(n, "diagram order", 1), _integer(i, "divisor i")
     if i < 1 or n % i != 0:
-        raise NonDivisorError(f"need i | n, got i={i}, n={n}")
+        raise NonDivisorError(f"need i | n, got i={_shown(i)}, n={_shown(n)}")
     return _o_fixed(n, i)
 
 
@@ -157,7 +158,7 @@ def _o_fixed(n: int, i: int) -> int:
 def _burnside(total_with_weights: int, group_order: int, what: str) -> int:
     if total_with_weights % group_order != 0:
         raise DivisibilityError(
-            f"Burnside sum {total_with_weights} for {what} is not divisible "
+            f"Burnside sum {_shown(total_with_weights)} for {what} is not divisible "
             f"by group order {group_order}"
         )
     return total_with_weights // group_order
@@ -188,7 +189,7 @@ def colored_classes_prime(p: int) -> int:
     """Shortcut for odd primes: (2p-1)!!/p + p - 1."""
     p = _integer(p, "prime p")
     if not _is_odd_prime(p):
-        raise NotPrimeError(f"needs an odd prime p >= 3, got {p}")
+        raise NotPrimeError(f"needs an odd prime p >= 3, got {_shown(p)}")
     return double_factorial(2 * p - 1) // p + p - 1
 
 
@@ -204,7 +205,7 @@ def o_classes_prime(p: int) -> int:
     """Shortcut for odd primes: (p-1)! + (p-1)."""
     p = _integer(p, "prime p")
     if not _is_odd_prime(p):
-        raise NotPrimeError(f"needs an odd prime p >= 3, got {p}")
+        raise NotPrimeError(f"needs an odd prime p >= 3, got {_shown(p)}")
     return math.factorial(p - 1) + (p - 1)
 
 
@@ -278,7 +279,9 @@ def build_table(n_min: int, n_max: int) -> CountTable:
     d_n = d_double_star - d_o, so it checks nothing on its own."""
     n_min, n_max = _integer(n_min, "n_min"), _integer(n_max, "n_max")
     if n_min < 1 or n_min > n_max:
-        raise InvalidArgumentError(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
+        raise InvalidArgumentError(
+            f"need 1 <= n_min <= n_max, got {_shown(n_min)}..{_shown(n_max)}"
+        )
     # q -> (its _fixed_series, the k of the term read last).  For one q,
     # k = 2n/q grows with n, so each series is walked once.
     walks: dict[int, tuple] = {}

@@ -38,7 +38,6 @@ from typing import Iterable, NamedTuple, Sequence, Union
 from .errors import (
     DuplicateIndexError,
     GluingParseError,
-    InvalidArgumentError,
     InvalidGluingError,
     MissingIndexError,
     SelfPairError,
@@ -105,7 +104,7 @@ class Gluing(NamedTuple):
     def parse(cls, text: str) -> "Gluing":
         """Parse the ``(a,b)(a,b)...`` text form (whitespace tolerated)."""
         if not re.fullmatch(r"(?:\s*\(\s*\d+\s*,\s*\d+\s*\))+\s*", text or ""):
-            raise GluingParseError(f"not a gluing: {text!r}")
+            raise GluingParseError(f"not a gluing: {_shown(text)}")
         try:
             pairs = [
                 (int(a), int(b))
@@ -273,10 +272,7 @@ def rotate(g: Gluing, k: int) -> Gluing:
     The residue 0 is written as 2n.  Requires an integer ``1 <= k <= 2n``;
     ``rotate(g, 2n)`` is the identity.
     """
-    pts = g.points
-    k = _integer(k, "rotation shift")
-    if not 1 <= k <= pts:
-        raise InvalidArgumentError(f"rotation shift must be in 1..{pts}, got {k}")
+    k = _integer(k, "rotation shift", 1, g.points)
     word = _span_word(g)
     return _trusted_gluing((_span_chords(word[-k:] + word[:-k]),))
 

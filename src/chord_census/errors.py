@@ -109,25 +109,28 @@ def _index(value) -> int:
 
 
 def _shown(value) -> str:
-    """``repr(value)``, or for an int past the int-to-str digit limit its
-    bit length: an error message never lifts the limit."""
+    """``repr(value)``, or past the int-to-str digit limit an int's bit length
+    or another value's type: an error message never lifts the limit."""
     try:
         return repr(value)
     except ValueError:
-        return f"<{value.bit_length()}-bit integer>"
+        if isinstance(value, int):
+            return f"<{value.bit_length()}-bit integer>"
+        return f"<{type(value).__name__} too long to show>"
 
 
-def _integer(value, what: str, least: Optional[int] = None) -> int:
-    """``value`` as a Python int, at least ``least`` when one is given.
+def _integer(value, what: str, least: Optional[int] = None, most: Optional[int] = None) -> int:
+    """``value`` as a Python int, at least ``least`` and at most ``most`` where given.
 
     Python and numpy integers pass through ``_index``; bools, floats,
-    strings and values below the bound raise :class:`InvalidArgumentError`,
+    strings and values out of bounds raise :class:`InvalidArgumentError`,
     so every count computed from the result stays an exact integer.
     """
     try:
         value = _index(value)
     except TypeError:
-        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}") from None
-    if least is not None and value < least:
-        raise InvalidArgumentError(f"{what} must be >= {least}, got {_shown(value)}")
+        raise InvalidArgumentError(f"{what} must be an integer, got {_shown(value)}") from None
+    if least is not None and value < least or most is not None and value > most:
+        bound = f">= {least}" if most is None else f"in {least}..{_shown(most)}"
+        raise InvalidArgumentError(f"{what} must be {bound}, got {_shown(value)}")
     return value

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping
 
 from .diagram import ColorDiagram, DiagramLike, _gluing_of, _sorted_gluing, isomorphic
-from .errors import InvalidSpinError
+from .errors import InvalidSpinError, _shown
 
 __all__ = [
     "SpinGraph",
@@ -93,10 +93,10 @@ class SpinGraph:
             name, partner = colors[t % 2]
             if partner[u] != v:
                 raise InvalidSpinError(
-                    f"cyclic order breaks sector alternation between {u!r} and {v!r}"
+                    f"cyclic order breaks sector alternation between {_shown(u)} and {_shown(v)}"
                 )
             if partner[v] != u:
-                raise InvalidSpinError(f"{name} partnership at {v!r} not mutual")
+                raise InvalidSpinError(f"{name} partnership at {_shown(v)} not mutual")
 
     def sector_colors_start_black(self) -> bool:
         """Whether the sector after ``cyclic_order[0]`` is black."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import collections
 import concurrent.futures
 import functools
@@ -11,6 +12,7 @@ import multiprocessing
 import pickle
 import tracemalloc
 from itertools import chain, islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -857,6 +859,28 @@ class TestOrbitCensus:
                 orbit_census(6, DiagramClass.N, budget=10394)
         assert orbit_census(6, DiagramClass.N, budget=10395).orbit_count == 1663
 
+    @pytest.mark.parametrize("n", range(1, census_mod._MAX_ENGINE_ORDER + 1))
+    def test_budget_charges_the_engine_column_count(self, n):
+        charged = {
+            cls: census_mod._charge_budget(n, cls, 10**100)
+            for cls in (DiagramClass.ALL, DiagramClass.O, DiagramClass.N)
+        }
+        assert charged[DiagramClass.ALL] == double_factorial(2 * n - 1)
+        assert charged[DiagramClass.O] == math.factorial(n)
+        assert charged[DiagramClass.N] == charged[DiagramClass.ALL]
+
+    def test_census_reads_no_closed_form(self):
+        # the brute-force path checks counting.py, so it imports nothing from it
+        tree = ast.parse(Path(census_mod.__file__).read_text())
+        names = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.extend(alias.name for alias in node.names)
+        assert "diagram" in names  # the walk sees the package's own imports
+        assert [name for name in names if name.rsplit(".", 1)[-1] == "counting"] == []
+
     def test_budget_env_override(self, monkeypatch):
         monkeypatch.setenv("CHORD_CENSUS_BUDGET", "100")
         with pytest.raises(BudgetExceededError):
@@ -917,7 +941,8 @@ class TestOrbitCensus:
         assert result is None
         assert multiprocessing.active_children() == []
 
-    def test_workers_capped_at_shard_count(self, pools, pool_always):
+    def test_workers_capped_at_shard_count(self, pools, pool_always, monkeypatch):
+        monkeypatch.setattr(census_mod, "_RUN_COLUMNS", 0)  # one shard per task
         assert orbit_census(2, workers=500) == orbit_census(2)
         assert pools == [3]
         assert orbit_census(1, workers=8) == orbit_census(1)
@@ -925,6 +950,7 @@ class TestOrbitCensus:
         assert pools == [3, 2]
 
     def test_small_census_starts_no_pool(self, pools, monkeypatch):
+        monkeypatch.setattr(census_mod, "_RUN_COLUMNS", 0)  # one shard per task
         assert orbit_census(5, workers=2) == orbit_census(5, workers=1)
         assert pools == []
         # (2*5-1)!! = 945 gluings reach this threshold; the 5! = 120 of the
@@ -935,6 +961,15 @@ class TestOrbitCensus:
         n_class = orbit_census(5, DiagramClass.N, workers=1)
         assert orbit_census(5, DiagramClass.N, workers=2) == n_class
         assert pools == [2, 2]
+
+    def test_workers_capped_at_task_count(self, pools, pool_always, monkeypatch):
+        # n = 6: 11 class-all shards of 945 gluings, cut into 3 blocks each
+        monkeypatch.setattr(census_mod, "_RUN_COLUMNS", 944)
+        monkeypatch.setattr(census_mod, "_BLOCK_COLUMNS", 400)
+        assert orbit_census(6, workers=20) == orbit_census(6)
+        assert pools == [20]
+        assert orbit_census(6, workers=50) == orbit_census(6)
+        assert pools == [20, 33]
 
     def test_no_matching_table_outlives_a_census(self):
         orbit_census(5)

@@ -8,13 +8,20 @@ import itertools
 import json
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 
 from chord_census import (
     DiagramClass,
+    EvenInputError,
     Gluing,
     InvalidArgumentError,
+    InvalidSpinError,
+    NonDivisorError,
+    NotPrimeError,
+    SpinGraph,
+    burnside_check,
     classify,
     count_fixed,
     counting,
@@ -459,6 +466,7 @@ class TestErrorContract:
             lambda: enumerate_gluings(0),
             lambda: enumerate_o_gluings(0),
             lambda: counting.total_gluings(-(10**5000)),
+            lambda: rotate(Gluing.parse("(1,2)"), Fraction(10**5000)),
         ],
     )
     def test_argument_checks_raise_package_error(self, call):
@@ -470,3 +478,62 @@ class TestErrorContract:
         monkeypatch.setenv("CHORD_CENSUS_BUDGET", "lots")
         with pytest.raises(InvalidArgumentError, match="CHORD_CENSUS_BUDGET"):
             orbit_census(3)
+
+    # Every public call given an integer past Python's 4,300-digit int-to-str
+    # limit raises the package error that a small bad value raises; the
+    # message names the integer by its bit length, never by its digits.
+    @pytest.mark.parametrize(
+        "call, small, error",
+        [
+            (lambda v: rotate(Gluing.parse("(1,2)"), v), 3, InvalidArgumentError),
+            (lambda v: count_fixed(3, v), 8, InvalidArgumentError),
+            (lambda v: count_fixed(3, 2, v), 8, InvalidArgumentError),
+            (lambda v: counting.colored_fixed(3, v), 2, NonDivisorError),
+            (lambda v: counting.uncolored_fixed(3, v), 4, NonDivisorError),
+            (lambda v: counting.o_fixed(3, v), 2, NonDivisorError),
+            (counting.double_factorial, 4, EvenInputError),
+            (counting.colored_classes_prime, 4, NotPrimeError),
+            (counting.o_classes_prime, 4, NotPrimeError),
+            (lambda v: counting.build_table(v, 1), 2, InvalidArgumentError),
+            (orbit_census, 33, InvalidArgumentError),
+            (lambda v: orbit_census(3, v), 8, InvalidArgumentError),
+            (lambda v: burnside_check(3, v), 8, InvalidArgumentError),
+            (lambda v: _spin_graph_breaking_at(v).validate(), 3, InvalidSpinError),
+            (lambda v: _spin_graph_not_mutual_at(v).validate(), 2, InvalidSpinError),
+        ],
+        ids=[
+            "rotate", "count_fixed shift", "count_fixed class", "colored_fixed",
+            "uncolored_fixed", "o_fixed", "double_factorial", "colored_classes_prime",
+            "o_classes_prime", "build_table", "orbit_census order", "orbit_census class",
+            "burnside_check class", "SpinGraph.validate alternation",
+            "SpinGraph.validate mutual",
+        ],
+    )
+    def test_integer_past_the_digit_limit_raises_package_error(self, call, small, error):
+        with pytest.raises(error) as expected:
+            call(small)
+        with pytest.raises(error) as exc:
+            call(10**5000)
+        assert type(exc.value) is type(expected.value)
+        if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+            assert "<16610-bit integer>" in str(exc.value)
+
+
+def _spin_graph_breaking_at(label) -> SpinGraph:
+    """Half-edges 1, 2, label, 4 whose alternation breaks between 2 and label."""
+    return SpinGraph(
+        (1, 2, label, 4),
+        ((1, label), (2, 4)),
+        {1: 2, 2: 1, label: 4, 4: label},
+        {2: 4, 4: 2, label: 1, 1: label},
+    )
+
+
+def _spin_graph_not_mutual_at(label) -> SpinGraph:
+    """Half-edges 1, label, 3, 4 whose black partnership at label is one-way."""
+    return SpinGraph(
+        (1, label, 3, 4),
+        ((1, 3), (label, 4)),
+        {1: label, label: 3, 3: 4, 4: 1},
+        {1: 4, 4: 1, label: 3, 3: label},
+    )

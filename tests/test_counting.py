@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -321,6 +322,11 @@ class TestDivisibilityGuard:
 
         with pytest.raises(DivisibilityError):
             _burnside(7, 3, "synthetic")
+        # a sum past the int-to-str digit limit is named by its bit length
+        with pytest.raises(DivisibilityError) as exc:
+            _burnside(10**5000 + 1, 2, "synthetic")
+        if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+            assert "<16610-bit integer>" in str(exc.value)
 
 
 # every public counting entry that takes an order, called at order n
