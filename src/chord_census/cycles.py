@@ -8,18 +8,17 @@ monochromatic circles: each circle alternates circle arcs of one color with
 band sides, and we call them b-cycles and w-cycles.
 
 A circle of one color is one orbit of two pairings of the points: the
-chords, and that color's arcs.  Enter an arc at x and leave at its other
-end y, which is x + 1 when x has the color's parity (odd for black, even
-for white) and x - 1 otherwise, mod 2n; then cross the chord at y and
-enter the next arc.  The circle closes when the walk comes back to its
-start.  An entry of the color's parity runs clockwise and any other
-counterclockwise; a chord joining two points of equal parity changes the
-entry parity, so the walk turns around the circle: the twisted band.  Each
-new circle starts at the least-numbered unvisited arc of its color,
-entered at that arc's id, so output is deterministic.
+chords, and that color's arcs, both read from partner tables (the arcs'
+from ``diagram._arc_pairings``).  Enter an arc at x, leave at its other end
+y, cross the chord at y and enter the next arc.  The circle closes when the
+walk comes back to its start.  Each new circle starts at the
+least-numbered unvisited arc of its color, entered at that arc's id, so
+output is deterministic.  Read against the pattern, a chord joining two
+points of equal parity makes the walk turn around the circle: the twisted
+band.
 
-Both colors are traced by one integer walk over the partner list, which
-records each circle as its exit points in walk order.
+Each color is traced by its own integer walk, which records each circle as
+its exit points in walk order.
 ``trace_cycles`` decorates those lists into arc and chord steps;
 ``cycle_counts`` and ``surface_type`` only count them and build no steps.
 
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Union
 
-from .diagram import DiagramClass, DiagramLike, classify, _gluing_of
+from .diagram import DiagramClass, DiagramLike, classify, _arc_pairings, _gluing_of
 from .errors import InconsistentTopologyError
 
 __all__ = [
@@ -168,33 +167,31 @@ def _boundary_walk(
 ) -> tuple[list[list[int]], list[list[int]]]:
     """The b-cycles and the w-cycles, each as its exit points in walk order.
 
-    Black arcs have odd ids and white arcs even ids, so one visited table
-    serves both colors.
+    Each color walks its own arc pairing from ``_arc_pairings`` with its own
+    visited table, in which both ends of a crossed arc are marked.  A circle
+    is an orbit of "cross the arc, then cross the chord", started at the
+    color's least unvisited arc id: black ids are the odd points, white ids
+    the even points.
     """
-    visited = bytearray(pts + 1)
-    b_cycles: list[list[int]] = []
-    w_cycles: list[list[int]] = []
-    for s0 in range(1, pts + 1):
-        if visited[s0]:
-            continue
-        parity = s0 & 1  # the color's parity: 1 black, 0 white
-        exits = []
-        x = s0
-        while True:
-            if x & 1 == parity:  # the arc's id is x, its other end x + 1
-                arc = x
-                y = x % pts + 1
-            else:  # the arc's id is its other end x - 1, or 2n when x = 1
-                arc = y = x - 1 or pts
-            if visited[arc]:
-                raise AssertionError("arc revisited before cycle closed")
-            visited[arc] = 1
-            exits.append(y)
-            x = partner[y]
-            if x == s0:
-                break
-        (b_cycles if parity else w_cycles).append(exits)
-    return b_cycles, w_cycles
+    cycles: tuple[list[list[int]], list[list[int]]] = ([], [])
+    for arc, first, circles in zip(_arc_pairings(pts), (1, 2), cycles):
+        visited = bytearray(pts + 1)
+        for s0 in range(first, pts + 1, 2):
+            if visited[s0]:
+                continue
+            exits = []
+            x = s0
+            while True:
+                if visited[x]:
+                    raise AssertionError("arc revisited before cycle closed")
+                y = arc[x]
+                visited[x] = visited[y] = 1
+                exits.append(y)
+                x = partner[y]
+                if x == s0:
+                    break
+            circles.append(exits)
+    return cycles
 
 
 # Steps are built by tuple.__new__ from their field tuples, skipping the

@@ -5,7 +5,8 @@ Conventions used throughout the package:
 * Points ``1..2n`` sit clockwise on a circle.  The circle arcs
   ``(1,2), (3,4), ..., (2n-1,2n)`` are black and the arcs
   ``(2,3), (4,5), ..., (2n,1)`` are white.  The coloring is a pure function
-  of the endpoint parities and is never stored.
+  of the endpoint parities; :func:`_arc_pairings` turns it into the two
+  pairings of points that the arcs make, cached once per point count.
 * A gluing is a perfect matching of ``{1..2n}`` into n chords, kept in
   normal form: chords ``(a_i, b_i)`` with ``a_1 = 1``, ``a_i < b_i`` and
   ``a_1 < a_2 < ... < a_n``.  Every matching has exactly one normal form.
@@ -227,6 +228,26 @@ def normalize(pairs: Iterable[tuple[int, int]]) -> Gluing:
             f"pairs do not partition 1..{pts} ({'; '.join(detail)})"
         )
     return _sorted_gluing(pair_list)
+
+
+# Point counts whose arc pairings _arc_pairings keeps: the stream benchmark's
+# sample reads 41 orders and its exhaustive pass one more, a CLI process one.
+_ARC_CACHE_ORDERS = 64
+
+
+@functools.lru_cache(maxsize=_ARC_CACHE_ORDERS)
+def _arc_pairings(pts: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The black and the white arc partner of every point of ``pts``.
+
+    Entry i of each tuple is the other end of point i's arc of that color;
+    index 0 is unused padding, as in :meth:`Gluing.partner_map`.  Black arcs
+    join odd i to i + 1 and white arcs even i to i + 1, with 2n joined to 1.
+    This is the one place that says which points an arc joins.  An entry
+    holds 2(2n+1) ints, and the tuples cannot be changed by a caller.
+    """
+    black = [0] + [i + 1 if i % 2 else i - 1 for i in range(1, pts + 1)]
+    white = [0] + [(i - 2) % pts + 1 if i % 2 else i % pts + 1 for i in range(1, pts + 1)]
+    return tuple(black), tuple(white)
 
 
 def classify(d: DiagramLike) -> DiagramClass:

@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
-from .diagram import ColorDiagram, DiagramLike, _gluing_of, _sorted_gluing, isomorphic
+from .diagram import ColorDiagram, DiagramLike, isomorphic
+from .diagram import _arc_pairings, _gluing_of, _sorted_gluing
 from .errors import InvalidSpinError, _shown
 
 __all__ = [
@@ -57,17 +58,22 @@ class SpinGraph:
     def validate(self) -> None:
         """Raise :class:`InvalidSpinError` unless all spin rules hold.
 
-        The cyclic order must realize the spin: consecutive half-edges are
-        partners of one color, the colors alternating sector by sector.
-        Checking each sector's partnership both ways, with both partner
-        maps covering exactly the half-edges, also settles the other rules:
-        every half-edge's partners are its two distinct neighbours (one
-        neighbour when 2n = 2), and the alternating run is the cyclic
-        order, closed with length 2n.
+        First the structure: 2n distinct hashable half-edges, loops that
+        pair them all exactly once, and partner maps that cover exactly the
+        half-edges.  Then the spin: read along the cyclic order, started on
+        its black sector, the half-edges are the pattern's points 1..2n,
+        and each partner map must be that color's arc pairing of them.
+        This also settles the other rules: every half-edge's partners are
+        its two distinct neighbours (one neighbour when 2n = 2), each
+        partnership is mutual, and alternating black and white partners
+        runs once around the cyclic order, closed with length 2n.
         """
         order = self.cyclic_order
         m = len(order)
-        labels = set(order)
+        try:
+            labels = set(order)
+        except TypeError:  # an unhashable half-edge label
+            raise InvalidSpinError("half-edge labels must be hashable") from None
         if m == 0 or m % 2 != 0:
             raise InvalidSpinError(f"need 2n half-edges, got {m}")
         if len(labels) != m:
@@ -81,50 +87,50 @@ class SpinGraph:
         if not paired:
             raise InvalidSpinError("loops must pair up all half-edges exactly once")
 
-        colors = [("black", self.black_partner), ("white", self.white_partner)]
+        colors = (("black", self.black_partner), ("white", self.white_partner))
         for name, partner in colors:
             if partner.keys() != labels:
                 raise InvalidSpinError(f"{name} partners must cover all half-edges")
 
         if not self.sector_colors_start_black():
-            colors.reverse()
-        for t in range(m):
-            u, v = order[t], order[(t + 1) % m]
-            name, partner = colors[t % 2]
-            if partner[u] != v:
-                raise InvalidSpinError(
-                    f"cyclic order breaks sector alternation between {_shown(u)} and {_shown(v)}"
-                )
-            if partner[v] != u:
-                raise InvalidSpinError(f"{name} partnership at {_shown(v)} not mutual")
+            order = order[1:] + order[:1]
+        for (name, partner), pairing in zip(colors, _arc_pairings(m)):
+            for h, p in zip(order, pairing[1:]):
+                if partner[h] != order[p - 1]:
+                    raise InvalidSpinError(
+                        f"{name} partner of {_shown(h)} is {_shown(partner[h])}, "
+                        f"but the sectors require {_shown(order[p - 1])}"
+                    )
 
     def sector_colors_start_black(self) -> bool:
-        """Whether the sector after ``cyclic_order[0]`` is black."""
-        return self.black_partner[self.cyclic_order[0]] == self.cyclic_order[1]
+        """Whether the sector after ``cyclic_order[0]`` is black.
+
+        Raises :class:`InvalidSpinError`, with :meth:`validate`'s message,
+        when there is no such sector or ``cyclic_order[0]`` has no black
+        partner.
+        """
+        try:
+            return self.black_partner[self.cyclic_order[0]] == self.cyclic_order[1]
+        except (IndexError, KeyError, TypeError):
+            self.validate()  # raises InvalidSpinError naming the fault
+            raise
 
 
 def diagram_to_spin_graph(d: DiagramLike) -> SpinGraph:
     """Spin graph of a diagram: points become half-edges, chords become loops.
 
-    Half-edge i sits at circle point i; the sector between i and i+1 is the
-    arc (i, i+1), black for odd i.
+    Half-edge i sits at circle point i, and its partners are its arc
+    partners in the pattern: the sector between i and i+1 is the arc
+    (i, i+1), black for odd i.
     """
     g = _gluing_of(d)
-    pts = g.points
-    black: dict[int, int] = {}
-    white: dict[int, int] = {}
-    for i in range(1, pts + 1):
-        succ = i % pts + 1
-        pred = (i - 2) % pts + 1
-        if i % 2 == 1:
-            black[i], white[i] = succ, pred
-        else:
-            black[i], white[i] = pred, succ
+    points = tuple(range(1, g.points + 1))
+    black, white = _arc_pairings(g.points)
     return SpinGraph(
-        cyclic_order=tuple(range(1, pts + 1)),
+        cyclic_order=points,
         loops=g.chords,
-        black_partner=black,
-        white_partner=white,
+        black_partner=dict(zip(points, black[1:])),
+        white_partner=dict(zip(points, white[1:])),
     )
 
 

@@ -182,6 +182,28 @@ def spin_isomorphic(s1, s2) -> bool:
     return False
 
 
+def spin_sectors_hold(s) -> bool:
+    """The spin rule sector by sector: consecutive half-edges of the cyclic
+    order bound a sector, the sectors alternate colors with either color
+    first, and the two half-edges of each sector are partners of its color
+    both ways.
+
+    Spin graphs are read by attribute and are not otherwise validated; both
+    partner maps must have every half-edge of the cyclic order as a key.
+    """
+    order = s.cyclic_order
+    m = len(order)
+    maps = (s.black_partner, s.white_partner)
+    for first in (0, 1):
+        if all(
+            maps[(first + t) % 2][order[t]] == order[(t + 1) % m]
+            and maps[(first + t) % 2][order[(t + 1) % m]] == order[t]
+            for t in range(m)
+        ):
+            return True
+    return False
+
+
 def arc_is_black(arc_id: int) -> bool:
     return arc_id % 2 == 1
 

@@ -277,6 +277,21 @@ class TestCountsAgreeWithTrace:
         got = [(cycle_counts(g), surface_type(g).boundary_components) for g in sample]
         assert got == expected
 
+    def test_pinned_walk_outputs(self):
+        # sha256 over one line per gluing of n = 1..6, in enumerate_gluings
+        # order: its text, its cycles, its counts and its surface type
+        h = hashlib.sha256()
+        for n in range(1, 7):
+            for g in enumerate_gluings(n):
+                fields = [
+                    g.text(),
+                    trace_cycles(g).text().replace("\n", ";"),
+                    repr(cycle_counts(g)),
+                    repr(surface_type(g)),
+                ]
+                h.update(("|".join(fields) + "\n").encode())
+        assert h.hexdigest() == "82ca5d321a3b10daa5398d3db72a8f99f27a961d4cce363a4a15777e91e7bbaa"
+
     @pytest.mark.parametrize("n", sorted(TRACE_TEXT_SHA256))
     def test_pinned_text(self, n):
         text = "\n".join(trace_cycles(g).text() for g in enumerate_gluings(n))

@@ -28,7 +28,7 @@ from chord_census import (
     rotate,
 )
 
-from chord_census.diagram import _span_chords
+from chord_census.diagram import _arc_pairings, _span_chords
 from oracles import all_matchings, canonical_matching, matching_key, rotate_matching, span_word
 
 
@@ -435,3 +435,23 @@ class TestRecolorShift:
         for _ in range(g.points):
             cur = recolor_shift(cur)
         assert cur == g
+
+
+class TestArcPairings:
+    def test_six_points(self):
+        assert _arc_pairings(6) == ((0, 2, 1, 4, 3, 6, 5), (0, 6, 3, 2, 5, 4, 1))
+
+    @pytest.mark.parametrize("pts", [2, 4, 6, 10, 40])
+    def test_pairings_are_the_pattern_arcs(self, pts):
+        # black arcs (i, i+1) for odd i, white for even i, (2n, 1) white
+        black, white = _arc_pairings(pts)
+        for pairing, parity in ((black, 1), (white, 0)):
+            assert len(pairing) == pts + 1 and pairing[0] == 0
+            assert all(pairing[pairing[i]] == i for i in range(1, pts + 1))
+            arcs = {frozenset((i, i % pts + 1)) for i in range(1, pts + 1) if i % 2 == parity}
+            assert {frozenset((i, pairing[i])) for i in range(1, pts + 1)} == arcs
+
+    def test_cached_per_point_count_as_tuples(self):
+        assert _arc_pairings(8) is _arc_pairings(8)
+        assert all(type(p) is tuple for p in _arc_pairings(8))
+        assert _arc_pairings.cache_info().maxsize == 64

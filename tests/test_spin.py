@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -13,6 +16,7 @@ from chord_census import (
     InvalidSpinError,
     classify,
     diagram_to_spin_graph,
+    enumerate_gluings,
     isomorphic,
     normalize,
     rotate,
@@ -21,7 +25,7 @@ from chord_census import (
 )
 from chord_census.spin import SpinGraph
 
-from oracles import all_matchings, spin_isomorphic
+from oracles import all_matchings, spin_isomorphic, spin_sectors_hold
 
 
 def diagrams(n):
@@ -55,6 +59,22 @@ def step_labels(s: SpinGraph) -> SpinGraph:
     )
 
 
+def swap_variants(s: SpinGraph) -> list[SpinGraph]:
+    """Every graph one swap away from s: two values of either partner map,
+    or two half-edges of the cyclic order."""
+    out = []
+    for i, j in combinations(range(len(s.cyclic_order)), 2):
+        order = list(s.cyclic_order)
+        order[i], order[j] = order[j], order[i]
+        out.append(replace(s, cyclic_order=tuple(order)))
+    for color in ("black_partner", "white_partner"):
+        for h1, h2 in combinations(s.cyclic_order, 2):
+            partner = dict(getattr(s, color))
+            partner[h1], partner[h2] = partner[h2], partner[h1]
+            out.append(replace(s, **{color: partner}))
+    return out
+
+
 def label_variants(d, rotations) -> list[SpinGraph]:
     """The spin graph of d under the given label rotations, then stepped."""
     s = diagram_to_spin_graph(d)
@@ -80,6 +100,16 @@ class TestRoundTrip:
             s = diagram_to_spin_graph(d)
             parity_ok = all((a + b) % 2 == 1 for a, b in s.loops)
             assert parity_ok == (classify(d) is DiagramClass.O)
+
+    def test_spin_graphs_pinned(self):
+        # sha256 of one repr per gluing for n = 1..4, in enumerate_gluings
+        # order: it pins the partner maps and their insertion order
+        text = "".join(
+            repr(diagram_to_spin_graph(g)) + "\n" for n in range(1, 5) for g in enumerate_gluings(n)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2d257ee4a4c72c2bb73db018f8b801c8282e5d87a611208e347a038edb1067b9"
+        )
 
     def test_reverse_composition_isomorphic(self):
         d = ColorDiagram.parse("(1,8)(2,4)(3,7)(5,12)(6,9)(10,11)")
@@ -172,6 +202,53 @@ class TestValidation:
         scrambled = (1, 3, 2, 4)
         with pytest.raises(InvalidSpinError):
             SpinGraph(scrambled, s.loops, s.black_partner, s.white_partner).validate()
+
+    def test_spin_message_names_the_half_edge_and_both_partners(self):
+        s = diagram_to_spin_graph(ColorDiagram.parse("(1,3)(2,4)"))
+        white = dict(s.white_partner)
+        white[1], white[3] = 3, 4
+        bad = SpinGraph(s.cyclic_order, s.loops, s.black_partner, white)
+        with pytest.raises(InvalidSpinError, match=r"^white partner of 1 is 3, but the sectors require 4$"):
+            bad.validate()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_sector_rule_oracle(self, n):
+        # each diagram's graph with either sector color first, and every
+        # graph one swap away from it
+        verdicts = set()
+        for d in diagrams(n):
+            s = diagram_to_spin_graph(d)
+            for base in (s, rotate_labels(s, 1)):
+                for t in [base] + swap_variants(base):
+                    holds = spin_sectors_hold(t)
+                    verdicts.add(holds)
+                    if holds:
+                        t.validate()
+                    else:
+                        with pytest.raises(InvalidSpinError):
+                            t.validate()
+        assert verdicts == {False, True}
+
+    def test_unhashable_label_raises_invalid_spin(self):
+        bad = SpinGraph(([1], [2]), (([1], [2]),), {}, {})
+        with pytest.raises(InvalidSpinError, match="hashable"):
+            bad.validate()
+        with pytest.raises(InvalidSpinError, match="hashable"):
+            spin_graph_to_diagram(bad)
+        with pytest.raises(InvalidSpinError, match="hashable"):
+            spin_graph_isomorphic(bad, diagram_to_spin_graph(ColorDiagram.parse("(1,2)")))
+
+    def test_sector_colors_of_an_empty_order(self):
+        with pytest.raises(InvalidSpinError, match="need 2n half-edges, got 0"):
+            SpinGraph((), (), {}, {}).sector_colors_start_black()
+
+    def test_sector_colors_without_a_black_partner_of_the_first_half_edge(self):
+        s = diagram_to_spin_graph(ColorDiagram.parse("(1,3)(2,4)"))
+        black = dict(s.black_partner)
+        del black[1]
+        bad = SpinGraph(s.cyclic_order, s.loops, black, s.white_partner)
+        with pytest.raises(InvalidSpinError, match="black partners must cover"):
+            bad.sector_colors_start_black()
 
 
 class TestIsomorphism:
