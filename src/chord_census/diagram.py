@@ -103,8 +103,12 @@ class Gluing(NamedTuple):
 
     @classmethod
     def parse(cls, text: str) -> "Gluing":
-        """Parse the ``(a,b)(a,b)...`` text form (whitespace tolerated)."""
-        if not re.fullmatch(r"(?:\s*\(\s*\d+\s*,\s*\d+\s*\))+\s*", text or ""):
+        """Parse the ``(a,b)(a,b)...`` text form (whitespace tolerated).
+
+        Anything but a ``str`` (bytes, a list, ``None``) is not a gluing.
+        """
+        pattern = r"(?:\s*\(\s*\d+\s*,\s*\d+\s*\))+\s*"
+        if not isinstance(text, str) or not re.fullmatch(pattern, text):
             raise GluingParseError(f"not a gluing: {_shown(text)}")
         try:
             pairs = [

@@ -25,8 +25,8 @@ the canonical forms of the two diagrams.
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Hashable, Mapping
 
 from .diagram import ColorDiagram, DiagramLike, isomorphic
 from .diagram import _arc_pairings, _gluing_of, _sorted_gluing
@@ -58,17 +58,42 @@ class SpinGraph:
     def validate(self) -> None:
         """Raise :class:`InvalidSpinError` unless all spin rules hold.
 
-        First the structure: 2n distinct hashable half-edges, loops that
-        pair them all exactly once, and partner maps that cover exactly the
-        half-edges.  Then the spin: read along the cyclic order, started on
-        its black sector, the half-edges are the pattern's points 1..2n,
-        and each partner map must be that color's arc pairing of them.
-        This also settles the other rules: every half-edge's partners are
-        its two distinct neighbours (one neighbour when 2n = 2), each
-        partnership is mutual, and alternating black and white partners
-        runs once around the cyclic order, closed with length 2n.
+        First the structure: a cyclic order of 2n distinct hashable
+        half-edges that is a sequence or a numpy array, read as a tuple (a
+        set, mapping, mapping view, iterator or scalar has no order and is
+        rejected), loops that pair them all exactly once, and partner maps
+        that are mappings covering exactly the half-edges.  Then the spin:
+        read along the cyclic order, started on its black sector, the
+        half-edges are the pattern's points 1..2n, and each partner map
+        must be that color's arc pairing of them.  This also settles the
+        other rules: every half-edge's partners are its two distinct
+        neighbours (one neighbour when 2n = 2), each partnership is mutual,
+        and alternating black and white partners runs once around the
+        cyclic order, closed with length 2n.
+        """
+        self._black_first()
+
+    def sector_colors_start_black(self) -> bool:
+        """Whether the sector after ``cyclic_order[0]`` is black.
+
+        Reads the graph as :meth:`validate` does, so it raises
+        :class:`InvalidSpinError`, with the same message, for every graph
+        that :meth:`validate` rejects.
+        """
+        return bool(self._black_first()[0] == self.cyclic_order[0])
+
+    def _black_first(self) -> tuple[Label, ...]:
+        """The cyclic order as a tuple started on its black sector.
+
+        The one reader of a spin graph: it checks the structure, then the
+        spin, and raises :class:`InvalidSpinError` naming the first fault.
         """
         order = self.cyclic_order
+        # an order is a sequence or an array; a set, mapping, view, iterator or scalar has
+        # none (tuple and dict come first in the checks: an ABC check alone costs more)
+        if not (isinstance(order, (tuple, Sequence)) or getattr(order, "ndim", 0) > 0):
+            raise InvalidSpinError(f"cyclic order must be a sequence, got {_shown(order)}")
+        order = tuple(order)
         m = len(order)
         try:
             labels = set(order)
@@ -89,10 +114,10 @@ class SpinGraph:
 
         colors = (("black", self.black_partner), ("white", self.white_partner))
         for name, partner in colors:
-            if partner.keys() != labels:
+            if not isinstance(partner, (dict, Mapping)) or partner.keys() != labels:
                 raise InvalidSpinError(f"{name} partners must cover all half-edges")
 
-        if not self.sector_colors_start_black():
+        if self.black_partner[order[0]] != order[1]:
             order = order[1:] + order[:1]
         for (name, partner), pairing in zip(colors, _arc_pairings(m)):
             for h, p in zip(order, pairing[1:]):
@@ -101,19 +126,7 @@ class SpinGraph:
                         f"{name} partner of {_shown(h)} is {_shown(partner[h])}, "
                         f"but the sectors require {_shown(order[p - 1])}"
                     )
-
-    def sector_colors_start_black(self) -> bool:
-        """Whether the sector after ``cyclic_order[0]`` is black.
-
-        Raises :class:`InvalidSpinError`, with :meth:`validate`'s message,
-        when there is no such sector or ``cyclic_order[0]`` has no black
-        partner.
-        """
-        try:
-            return self.black_partner[self.cyclic_order[0]] == self.cyclic_order[1]
-        except (IndexError, KeyError, TypeError):
-            self.validate()  # raises InvalidSpinError naming the fault
-            raise
+        return order
 
 
 def diagram_to_spin_graph(d: DiagramLike) -> SpinGraph:
@@ -139,15 +152,12 @@ def spin_graph_to_diagram(s: SpinGraph) -> ColorDiagram:
 
     The cyclic order is rotated so the first sector is black, half-edges are
     renumbered 1..2n in that order, and loops become chords.  Raises
-    :class:`InvalidSpinError` on malformed input; once validation has shown
-    that the loops pair the 2n half-edges exactly once, the chords need only
-    sorting into normal form.
+    :class:`InvalidSpinError` on malformed input; once the graph has been
+    read as :meth:`SpinGraph.validate` reads it, the loops pair the 2n
+    half-edges exactly once, so the chords need only sorting into normal
+    form.
     """
-    s.validate()
-    order = s.cyclic_order
-    if not s.sector_colors_start_black():
-        order = order[1:] + order[:1]
-    index = {label: i + 1 for i, label in enumerate(order)}
+    index = {label: i for i, label in enumerate(s._black_first(), 1)}
     return ColorDiagram(_sorted_gluing((index[a], index[b]) for a, b in s.loops))
 
 

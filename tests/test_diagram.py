@@ -143,6 +143,16 @@ class TestParsing:
         with pytest.raises(GluingParseError):
             Gluing.parse(bad)
 
+    @pytest.mark.parametrize(
+        "parse", [Gluing.parse, ColorDiagram.parse], ids=["Gluing", "ColorDiagram"]
+    )
+    @pytest.mark.parametrize(
+        "bad", [5, ["(1,2)"], b"(1,2)", None], ids=["int", "list", "bytes", "None"]
+    )
+    def test_non_string_rejected(self, parse, bad):
+        with pytest.raises(GluingParseError, match=r"^not a gluing: "):
+            parse(bad)
+
     def test_json_round_trip(self):
         g = chords_of("(1,8)(2,4)(3,7)(5,12)(6,9)(10,11)")
         assert Gluing.from_json(g.to_json_dict()) == g

@@ -7,6 +7,7 @@ import random
 from dataclasses import replace
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from chord_census import (
@@ -73,6 +74,36 @@ def swap_variants(s: SpinGraph) -> list[SpinGraph]:
             partner[h1], partner[h2] = partner[h2], partner[h1]
             out.append(replace(s, **{color: partner}))
     return out
+
+
+PAIR = {1: 2, 2: 1}
+
+
+def one_chord(order=(1, 2), black=PAIR, white=PAIR) -> SpinGraph:
+    """The spin graph of (1,2), with any field replaced."""
+    return SpinGraph(order, ((1, 2),), black, white)
+
+
+# graphs with one malformed field, each made afresh (an iterator is used up
+# once read), with the start of the message that names the fault
+ORDER, BLACK, WHITE = (
+    "cyclic order must be a sequence",
+    "black partners must cover all half-edges",
+    "white partners must cover all half-edges",
+)
+MALFORMED = {
+    "set order": (lambda: one_chord(order={1, 2}), ORDER),
+    "keys-view order": (lambda: one_chord(order=dict.fromkeys((1, 2)).keys()), ORDER),
+    "iterator order": (lambda: one_chord(order=iter((1, 2))), ORDER),
+    "int order": (lambda: one_chord(order=5), ORDER),
+    "None order": (lambda: one_chord(order=None), ORDER),
+    "list black partners": (lambda: one_chord(black=[2, 1]), BLACK),
+    "None black partners": (lambda: one_chord(black=None), BLACK),
+    "str black partners": (lambda: one_chord(black="ab"), BLACK),
+    "list white partners": (lambda: one_chord(white=[2, 1]), WHITE),
+    "None white partners": (lambda: one_chord(white=None), WHITE),
+    "str white partners": (lambda: one_chord(white="ab"), WHITE),
+}
 
 
 def label_variants(d, rotations) -> list[SpinGraph]:
@@ -238,6 +269,27 @@ class TestValidation:
         with pytest.raises(InvalidSpinError, match="hashable"):
             spin_graph_isomorphic(bad, diagram_to_spin_graph(ColorDiagram.parse("(1,2)")))
 
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_field_raises_invalid_spin(self, case):
+        make, message = MALFORMED[case]
+        for read in (SpinGraph.validate, SpinGraph.sector_colors_start_black, spin_graph_to_diagram):
+            with pytest.raises(InvalidSpinError, match=f"^{message}"):
+                read(make())
+
+    def test_ordered_orders_read_as_tuples(self):
+        # labels 0..2n-1 around the vertex, the first sector white: a list,
+        # a range and a numpy array give the tuple's diagram
+        d = ColorDiagram.parse("(1,8)(2,4)(3,7)(5,12)(6,9)(10,11)")
+        shift = {h: (h - 2) % 12 for h in range(1, 13)}
+        s = relabel(rotate_labels(diagram_to_spin_graph(d), 1), shift)
+        assert s.cyclic_order == tuple(range(12))
+        expected = spin_graph_to_diagram(s)
+        assert isomorphic(expected, d)
+        for order in (list(range(12)), range(12), np.arange(12)):
+            t = replace(s, cyclic_order=order)
+            assert t.sector_colors_start_black() is False
+            assert spin_graph_to_diagram(t) == expected
+
     def test_sector_colors_of_an_empty_order(self):
         with pytest.raises(InvalidSpinError, match="need 2n half-edges, got 0"):
             SpinGraph((), (), {}, {}).sector_colors_start_black()
@@ -340,6 +392,7 @@ class TestIsomorphism:
         broken = dict(s.black_partner)
         broken[1], broken[2] = 2, 3
         bad = SpinGraph(s.cyclic_order, s.loops, broken, s.white_partner)
-        args = (bad, s) if side == 0 else (s, bad)
-        with pytest.raises(InvalidSpinError):
-            spin_graph_isomorphic(*args)
+        for b in [bad] + [make() for make, _ in MALFORMED.values()]:
+            args = (b, s) if side == 0 else (s, b)
+            with pytest.raises(InvalidSpinError):
+                spin_graph_isomorphic(*args)
