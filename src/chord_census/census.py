@@ -9,7 +9,9 @@ unmatched point is always matched next, partners ascending.  The stream
 keeps chord prefixes on an explicit stack and, once at most six points are
 free, completes a prefix from that free set's completions, listed once per
 call: memory is O(n^2) stack references plus those lists, about 1 MB for
-n <= 10.
+n <= 10.  Class N's stream, like its census, is derived here: the class-all
+stream less the class-O stream, which is a subsequence of it in the same
+order.
 
 The same order partitions the stream into independent shards keyed by the
 partner of point 1, which is how the census parallelizes.  Shards are not
@@ -86,7 +88,7 @@ if TYPE_CHECKING:  # numpy loads with the first census, inside the engine
     import numpy as np
 
 from .diagram import DiagramClass, Gluing, _span_chords, _trusted_gluing, classify
-from .errors import BudgetExceededError, InvalidArgumentError, _integer, _shown
+from .errors import BudgetExceededError, InvalidArgumentError, _flag, _integer, _shown
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -168,6 +170,29 @@ def _matchings(n: int, o_only: bool) -> Iterator[tuple[tuple[int, int], ...]]:
             stack.pop()
 
 
+def _less(items: Iterator, drop: Iterator) -> Iterator:
+    """``items`` without ``drop``, a subsequence of it in the same order
+    that holds no ``None``: each item equal to the next dropped one goes."""
+    skip = next(drop, None)
+    for item in items:
+        if item == skip:
+            skip = next(drop, None)
+        else:
+            yield item
+
+
+def _class_gluings(n: int, cls: DiagramClass) -> Iterator[Gluing]:
+    """The gluings of ``cls`` in lexicographic order.
+
+    Classes all and O are the bare ``map`` over their matchings; class N is
+    class all less class O, which is a subsequence of it in the same order.
+    """
+    n = _integer(n, "diagram order", 1)
+    if cls is DiagramClass.N:
+        return _less(_class_gluings(n, DiagramClass.ALL), _class_gluings(n, DiagramClass.O))
+    return map(_trusted_gluing, zip(_matchings(n, cls is DiagramClass.O)))
+
+
 def enumerate_gluings(n: int) -> Iterator[Gluing]:
     """Yield each of the (2n-1)!! normal-form gluings exactly once.
 
@@ -175,8 +200,7 @@ def enumerate_gluings(n: int) -> Iterator[Gluing]:
     the completions of every free set of at most six points reached, about
     1 MB for n <= 10.
     """
-    n = _integer(n, "diagram order", 1)
-    return map(_trusted_gluing, zip(_matchings(n, o_only=False)))
+    return _class_gluings(n, DiagramClass.ALL)
 
 
 def enumerate_o_gluings(n: int) -> Iterator[Gluing]:
@@ -185,8 +209,7 @@ def enumerate_o_gluings(n: int) -> Iterator[Gluing]:
     Every chord joins an odd point to an even point; the stream equals
     ``enumerate_gluings(n)`` filtered to class O, with the same memory bound.
     """
-    n = _integer(n, "diagram order", 1)
-    return map(_trusted_gluing, zip(_matchings(n, o_only=True)))
+    return _class_gluings(n, DiagramClass.O)
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +485,17 @@ def orbit_census(
     isomorphism).  The same pass counts the gluings each group element
     fixes (``fixed_counts``).  ``keep_orbits`` defaults to True up to n = 6
     and False above, where the representative list would get large; counts
-    are exact either way.  Kernel tasks are runs of small shards or column
-    blocks of wide ones (see the module docstring); a shard's blocks are
-    summed before ``progress`` gets its numbers, so it fires once per shard
-    and records keep column order.  ``workers`` is an upper bound: tasks go
-    to a process pool of at most that many workers (and at most one per
-    task) only for a census of at least 10^7 gluings.  Results are
-    identical for every ``workers`` setting.  Class N is a class-all census
-    less a class-O one, each deciding on its own pool; ``progress`` gets its
-    numbers after each class-all shard.
+    are exact either way.  Both are flags: a Python or numpy bool (or None
+    for ``keep_orbits``) passes, and anything else raises
+    :class:`InvalidArgumentError`.  Kernel tasks are runs of small shards
+    or column blocks of wide ones (see the module docstring); a shard's
+    blocks are summed before ``progress`` gets its numbers, so it fires
+    once per shard and records keep column order.  ``workers`` is an upper
+    bound: tasks go to a process pool of at most that many workers (and at
+    most one per task) only for a census of at least 10^7 gluings.  Results
+    are identical for every ``workers`` setting.  Class N is a class-all
+    census less a class-O one, each deciding on its own pool; ``progress``
+    gets its numbers after each class-all shard.
     """
     n = _integer(n, "diagram order", 1)
     workers = _integer(workers, "workers", 1)
@@ -484,6 +509,10 @@ def orbit_census(
         raise InvalidArgumentError(
             f"the uint8 census engine needs n <= {_MAX_ENGINE_ORDER}, got {_shown(n)}"
         )
+    if keep_orbits is None:
+        keep_orbits = n <= 6
+    keep_orbits = _flag(keep_orbits, "keep_orbits")
+    full_rotation_group = _flag(full_rotation_group, "full_rotation_group")
     work = _charge_budget(n, diagram_class, budget)
     if diagram_class is DiagramClass.N:
         marks: list[tuple[int, int]] = []  # (rows, orbits) after each class-O shard
@@ -499,8 +528,6 @@ def orbit_census(
         )
         every = orbit_census(n, keep_orbits=keep_orbits, progress=progress and less_o, **kw)
         return _class_n(every, o)
-    if keep_orbits is None:
-        keep_orbits = n <= 6
     shifts, group_order = _group_shifts(n, full_rotation_group)
     fps = _first_partners(2 * n, diagram_class is DiagramClass.O)
     width = work // len(fps)  # gluings in every shard

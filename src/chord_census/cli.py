@@ -20,7 +20,7 @@ from dataclasses import asdict
 from typing import Optional
 
 from . import counting
-from .census import _burnside_holds, _class_n, enumerate_gluings, enumerate_o_gluings, orbit_census
+from .census import _burnside_holds, _class_gluings, _class_n, orbit_census
 # Unused here, but perfbench's traced verify run patches these names on this module.
 from .census import burnside_check, count_fixed  # noqa: F401
 from .cycles import CycleDecomposition, surface_type, trace_cycles
@@ -191,24 +191,11 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    stream = (
-        enumerate_o_gluings(args.n)
-        if args.diagram_class is DiagramClass.O
-        else enumerate_gluings(args.n)
-    )
-    # class N is class all less class O, a subsequence in the same order
-    o_stream = enumerate_o_gluings(args.n) if args.diagram_class is DiagramClass.N else iter(())
-    skip = next(o_stream, None)
-    emitted = 0
-    for g in stream:
-        if g == skip:
-            skip = next(o_stream, None)
-            continue
+    for emitted, g in enumerate(_class_gluings(args.n, args.diagram_class), 1):
         if args.format == "json":
             print(json.dumps(g.to_json_dict(), sort_keys=True))
         else:
             print(g.text())
-        emitted += 1
         if args.progress and emitted % 1_000_000 == 0:
             print(f"enumerated={emitted}", file=sys.stderr)
     return 0

@@ -190,7 +190,15 @@ DiagramLike = Union[Gluing, ColorDiagram]
 
 
 def _gluing_of(d: DiagramLike) -> Gluing:
-    return d.gluing if isinstance(d, ColorDiagram) else d
+    """The gluing of a diagram argument, a :class:`Gluing` or a
+    :class:`ColorDiagram` of one: the one reader of diagram arguments.
+    Anything else raises :class:`InvalidGluingError`."""
+    g = d.gluing if isinstance(d, ColorDiagram) else d
+    if not isinstance(g, Gluing):
+        raise InvalidGluingError(
+            f"a diagram must be a Gluing or a ColorDiagram of one, got {_shown(d)}"
+        )
+    return g
 
 
 def normalize(pairs: Iterable[tuple[int, int]]) -> Gluing:
@@ -291,12 +299,14 @@ def _least_word(g: Gluing) -> list[int]:
     return min(word[e:] + word[:e] for e in range(0, len(word), 2) if word[e] == least)
 
 
-def rotate(g: Gluing, k: int) -> Gluing:
+def rotate(g: DiagramLike, k: int) -> Gluing:
     """Rotate a gluing by k steps: every index d goes to ``d+k mod 2n``.
 
     The residue 0 is written as 2n.  Requires an integer ``1 <= k <= 2n``;
-    ``rotate(g, 2n)`` is the identity.
+    ``rotate(g, 2n)`` is the identity.  A :class:`ColorDiagram` gives its
+    gluing's rotation, a :class:`Gluing`, as :func:`canonical_form` does.
     """
+    g = _gluing_of(g)
     k = _integer(k, "rotation shift", 1, g.points)
     word = _span_word(g)
     return _trusted_gluing((_span_chords(word[-k:] + word[:-k]),))
@@ -326,8 +336,7 @@ def recolor_shift(d: DiagramLike) -> DiagramLike:
     times it is the identity.  The result lives in the same fixed-pattern
     universe; odd shifts are not diagram isomorphisms.
     """
-    g = _gluing_of(d)
-    shifted = rotate(g, 1)
+    shifted = rotate(d, 1)
     if isinstance(d, ColorDiagram):
         return ColorDiagram(shifted)
     return shifted

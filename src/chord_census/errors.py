@@ -7,13 +7,15 @@ from :class:`ValueError`; the two arithmetic sentinels derive from
 bad inputs.
 
 Every other module imports this one, so it also holds ``_integer``, the one
-reader of integer arguments, ``_index``, its integer rule, and ``_shown``,
-which puts a value in an error message.
+reader of integer arguments, ``_index``, its integer rule, ``_flag``, the one
+reader of flag arguments, and ``_shown``, which puts a value in an error
+message.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
 from typing import Optional
 
 __all__ = [
@@ -134,3 +136,14 @@ def _integer(value, what: str, least: Optional[int] = None, most: Optional[int] 
         bound = f">= {least}" if most is None else f"in {least}..{_shown(most)}"
         raise InvalidArgumentError(f"{what} must be {bound}, got {_shown(value)}")
     return value
+
+
+def _flag(value, what: str) -> bool:
+    """``value`` as a Python bool: Python and numpy bools pass, anything else
+    (an int, a string, ``None``) raises :class:`InvalidArgumentError`, so a
+    truthy ``"no"`` never switches a flag on.  A numpy bool exists only once
+    numpy is imported, so reading one never imports it."""
+    np = sys.modules.get("numpy")
+    if isinstance(value, bool) or np is not None and isinstance(value, np.bool_):
+        return bool(value)
+    raise InvalidArgumentError(f"{what} must be a bool, got {_shown(value)}")

@@ -61,15 +61,16 @@ class SpinGraph:
         First the structure: a cyclic order of 2n distinct hashable
         half-edges that is a sequence or a numpy array, read as a tuple (a
         set, mapping, mapping view, iterator or scalar has no order and is
-        rejected), loops that pair them all exactly once, and partner maps
-        that are mappings covering exactly the half-edges.  Then the spin:
-        read along the cyclic order, started on its black sector, the
-        half-edges are the pattern's points 1..2n, and each partner map
-        must be that color's arc pairing of them.  This also settles the
-        other rules: every half-edge's partners are its two distinct
-        neighbours (one neighbour when 2n = 2), each partnership is mutual,
-        and alternating black and white partners runs once around the
-        cyclic order, closed with length 2n.
+        rejected), loops, an iterable of pairs read once, that pair them
+        all exactly once, and partner maps that are mappings covering
+        exactly the half-edges.  Then the spin: read along the cyclic
+        order, started on its black sector, the half-edges are the
+        pattern's points 1..2n, and each partner map must be that color's
+        arc pairing of them.  This also settles the other rules: every
+        half-edge's partners are its two distinct neighbours (one neighbour
+        when 2n = 2), each partnership is mutual, and alternating black and
+        white partners runs once around the cyclic order, closed with
+        length 2n.
         """
         self._black_first()
 
@@ -80,13 +81,17 @@ class SpinGraph:
         :class:`InvalidSpinError`, with the same message, for every graph
         that :meth:`validate` rejects.
         """
-        return bool(self._black_first()[0] == self.cyclic_order[0])
+        order, _ = self._black_first()
+        return bool(order[0] == self.cyclic_order[0])
 
-    def _black_first(self) -> tuple[Label, ...]:
-        """The cyclic order as a tuple started on its black sector.
+    def _black_first(self) -> tuple[tuple[Label, ...], tuple[tuple[Label, Label], ...]]:
+        """The cyclic order as a tuple started on its black sector, and the
+        loops as a tuple of pairs.
 
-        The one reader of a spin graph: it checks the structure, then the
-        spin, and raises :class:`InvalidSpinError` naming the first fault.
+        The one reader of a spin graph: it reads the loops once, so an
+        iterator of them is read as a tuple would be, checks the structure,
+        then the spin, and raises :class:`InvalidSpinError` naming the first
+        fault.
         """
         order = self.cyclic_order
         # an order is a sequence or an array; a set, mapping, view, iterator or scalar has
@@ -105,7 +110,8 @@ class SpinGraph:
             raise InvalidSpinError("cyclic order repeats a half-edge")
 
         try:
-            loop_ends = [x for a, b in self.loops for x in (a, b)]
+            loops = tuple((a, b) for a, b in self.loops)
+            loop_ends = [x for loop in loops for x in loop]
             paired = len(loop_ends) == m and set(loop_ends) == labels
         except (TypeError, ValueError):  # a loop that is not a pair of labels
             paired = False
@@ -126,7 +132,7 @@ class SpinGraph:
                         f"{name} partner of {_shown(h)} is {_shown(partner[h])}, "
                         f"but the sectors require {_shown(order[p - 1])}"
                     )
-        return order
+        return order, loops
 
 
 def diagram_to_spin_graph(d: DiagramLike) -> SpinGraph:
@@ -153,12 +159,13 @@ def spin_graph_to_diagram(s: SpinGraph) -> ColorDiagram:
     The cyclic order is rotated so the first sector is black, half-edges are
     renumbered 1..2n in that order, and loops become chords.  Raises
     :class:`InvalidSpinError` on malformed input; once the graph has been
-    read as :meth:`SpinGraph.validate` reads it, the loops pair the 2n
-    half-edges exactly once, so the chords need only sorting into normal
+    read as :meth:`SpinGraph.validate` reads it, the loops it read pair the
+    2n half-edges exactly once, so the chords need only sorting into normal
     form.
     """
-    index = {label: i for i, label in enumerate(s._black_first(), 1)}
-    return ColorDiagram(_sorted_gluing((index[a], index[b]) for a, b in s.loops))
+    order, loops = s._black_first()
+    index = {label: i for i, label in enumerate(order, 1)}
+    return ColorDiagram(_sorted_gluing((index[a], index[b]) for a, b in loops))
 
 
 def spin_graph_isomorphic(s1: SpinGraph, s2: SpinGraph) -> bool:

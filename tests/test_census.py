@@ -36,6 +36,7 @@ from chord_census import (
 from chord_census import census as census_mod
 from chord_census.cli import main
 from chord_census.census import (
+    _class_gluings,
     _first_partners,
     _group_shifts,
     _lift,
@@ -335,6 +336,31 @@ class TestEnumerateOGluings:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_every_item_is_o(self, n):
         assert all(classify(g) is DiagramClass.O for g in enumerate_o_gluings(n))
+
+
+CLASS_ORACLES = {
+    DiagramClass.ALL: all_matchings,
+    DiagramClass.O: o_matchings,
+    DiagramClass.N: lambda n: [m for m in all_matchings(n) if not is_o_matching(m)],
+}
+
+
+class TestClassGluings:
+    @pytest.mark.parametrize("cls", list(DiagramClass))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_oracle_in_lexicographic_order(self, cls, n):
+        expected = sorted(matching_key(m) for m in CLASS_ORACLES[cls](n))
+        assert [g.chords for g in _class_gluings(n, cls)] == expected
+
+    @pytest.mark.parametrize("cls", [DiagramClass.ALL, DiagramClass.O])
+    def test_all_and_o_are_the_bare_map(self, cls):
+        assert type(_class_gluings(4, cls)) is map
+        assert type(enumerate_gluings(4)) is map and type(enumerate_o_gluings(4)) is map
+
+    @pytest.mark.parametrize("cls", list(DiagramClass))
+    def test_order_read_at_the_call(self, cls):
+        with pytest.raises(InvalidArgumentError, match="diagram order must be >= 1, got 0"):
+            _class_gluings(0, cls)
 
 
 class TestShardArrays:
@@ -768,6 +794,20 @@ class TestOrbitCensus:
     def test_keep_orbits_defaults(self):
         assert orbit_census(3).orbits is not None
         assert orbit_census(7).orbits is None
+
+    @pytest.mark.parametrize("flag", ["keep_orbits", "full_rotation_group"])
+    @pytest.mark.parametrize("value", ["no", "yes", 1, 0, 1.0, [True]])
+    @pytest.mark.parametrize("cls", [DiagramClass.ALL, DiagramClass.N])
+    def test_flags_must_be_bools(self, flag, value, cls):
+        with pytest.raises(InvalidArgumentError, match=f"^{flag} must be a bool, got "):
+            orbit_census(3, cls, **{flag: value})
+
+    def test_numpy_bool_flags_accepted(self):
+        full = orbit_census(3, full_rotation_group=np.True_, keep_orbits=np.False_)
+        assert full.group_order == 6 and full.orbits is None
+        even = orbit_census(3, full_rotation_group=np.False_, keep_orbits=np.True_)
+        assert even.group_order == 3 and len(even.orbits) == even.orbit_count
+        assert orbit_census(3, keep_orbits=None).orbits is not None
 
     def test_orbit_sizes_must_sum_to_the_class_size(self, monkeypatch):
         original = census_mod._shard_task

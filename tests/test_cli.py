@@ -248,7 +248,7 @@ class TestEnumerate:
         import chord_census.cli as cli_mod
 
         g = Gluing.parse("(1,2)")
-        monkeypatch.setattr(cli_mod, "enumerate_gluings", lambda n: itertools.repeat(g, 10**6))
+        monkeypatch.setattr(cli_mod, "_class_gluings", lambda n, cls: itertools.repeat(g, 10**6))
         code, out, err = run(capsys, "enumerate", "--n", "1", "--progress")
         assert code == 0 and out.count("\n") == 10**6
         assert err.endswith("enumerated=1000000\n")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -22,10 +23,15 @@ from chord_census import (
     SizeMismatchError,
     canonical_form,
     classify,
+    cycle_counts,
+    diagram_to_spin_graph,
     isomorphic,
     normalize,
     recolor_shift,
+    render_svg,
     rotate,
+    surface_type,
+    trace_cycles,
 )
 
 from chord_census.diagram import _arc_pairings, _span_chords
@@ -445,6 +451,41 @@ class TestRecolorShift:
         for _ in range(g.points):
             cur = recolor_shift(cur)
         assert cur == g
+
+
+GOOD = Gluing.parse("(1,2)")
+READS_A_DIAGRAM = {
+    "classify": classify,
+    "rotate": lambda d: rotate(d, 2),
+    "canonical_form": canonical_form,
+    "isomorphic_first": lambda d: isomorphic(d, GOOD),
+    "isomorphic_second": lambda d: isomorphic(GOOD, d),
+    "recolor_shift": recolor_shift,
+    "trace_cycles": trace_cycles,
+    "cycle_counts": cycle_counts,
+    "surface_type": surface_type,
+    "diagram_to_spin_graph": diagram_to_spin_graph,
+    "render_svg": render_svg,
+}
+
+
+class TestDiagramArguments:
+    @pytest.mark.parametrize("read", list(READS_A_DIAGRAM))
+    @pytest.mark.parametrize(
+        "bad",
+        ["(1,2)", [(1, 2)], None, ColorDiagram("(1,2)")],
+        ids=["str", "list", "None", "wrapped_str"],
+    )
+    def test_non_gluing_raises_invalid_gluing(self, read, bad):
+        with pytest.raises(InvalidGluingError, match=re.escape(f"got {bad!r}")):
+            READS_A_DIAGRAM[read](bad)
+
+    def test_rotate_reads_a_color_diagram_as_its_gluing(self):
+        for m in all_matchings(4):
+            g = normalize([tuple(p) for p in m])
+            for k in range(1, 9):
+                rotated = rotate(ColorDiagram(g), k)
+                assert type(rotated) is Gluing and rotated == rotate(g, k)
 
 
 class TestArcPairings:

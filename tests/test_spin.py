@@ -290,6 +290,21 @@ class TestValidation:
             assert t.sector_colors_start_black() is False
             assert spin_graph_to_diagram(t) == expected
 
+    @pytest.mark.parametrize(
+        "read_loops",
+        [iter, lambda loops: (loop for loop in loops), list],
+        ids=["iter", "generator", "list"],
+    )
+    @pytest.mark.parametrize("text", ["(1,3)(2,4)", "(1,8)(2,4)(3,7)(5,12)(6,9)(10,11)"])
+    def test_loops_read_once(self, read_loops, text):
+        # loops that can be iterated only once convert as their tuple does
+        s = diagram_to_spin_graph(ColorDiagram.parse(text))
+        once = lambda: replace(s, loops=read_loops(s.loops))  # noqa: E731
+        assert spin_graph_to_diagram(once()) == spin_graph_to_diagram(s)
+        assert spin_graph_isomorphic(once(), s) and spin_graph_isomorphic(s, once())
+        once().validate()
+        assert once().sector_colors_start_black() is True
+
     def test_sector_colors_of_an_empty_order(self):
         with pytest.raises(InvalidSpinError, match="need 2n half-edges, got 0"):
             SpinGraph((), (), {}, {}).sector_colors_start_black()
