@@ -43,7 +43,9 @@ shards of a small census share one kernel pass.  A wider shard runs alone,
 cut into equal column blocks of at most 2^17 gluings, each a slice of the
 table lifted by the shard's first partner, so a task holds the table plus
 at most 2^17 columns; a census big enough for a process pool sends the
-pool such blocks.  The census adds up a shard's blocks before it reports
+pool such blocks, through a window of at most 2 * workers tasks submitted
+and not yet read, so the main process holds a few tasks' futures, not
+every one.  The census adds up a shard's blocks before it reports
 the shard.  The kernel reads a task as span words, which order gluings as
 normal forms do (see ``chord_census.diagram``), so canonicity is a
 least-rotation (necklace) test on the span word and a rotation a
@@ -80,7 +82,6 @@ import functools
 import itertools
 import math
 import os
-from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
@@ -456,6 +457,40 @@ def _charge_budget(n: int, cls: DiagramClass, budget: Optional[int]) -> int:
     return work
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (where the OS cannot say, all of them)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _task_results(tasks: Sequence[tuple], workers: int) -> Iterator[tuple]:
+    """Each kernel task's result, in column order.
+
+    One worker runs the tasks in-process.  More run in a process pool of at
+    most one worker per task and per usable CPU (a pool forks every worker
+    up front, and each builds its own table), which holds at most 2 *
+    workers tasks submitted and not yet read: each result read makes room
+    for the next task, so the main process never holds every task's future.
+    On an exception, or when the stream is closed, the pool drops the tasks
+    not yet started and joins its workers.
+    """
+    workers = min(workers, len(tasks), _usable_cpus())
+    if workers == 1:
+        yield from map(_shard_task, tasks)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        futures = (pool.submit(_shard_task, task) for task in tasks)
+        window = collections.deque(itertools.islice(futures, 2 * workers))
+        while window:
+            yield window.popleft().result()
+            window.extend(itertools.islice(futures, 1))  # the read result's successor
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 # ---------------------------------------------------------------------------
 # public census operations
 # ---------------------------------------------------------------------------
@@ -492,7 +527,8 @@ def orbit_census(
     blocks are summed before ``progress`` gets its numbers, so it fires
     once per shard and records keep column order.  ``workers`` is an upper
     bound: tasks go to a process pool of at most that many workers (and at
-    most one per task) only for a census of at least 10^7 gluings.  Results
+    most one per task and per usable CPU) only for a census of at least
+    10^7 gluings, at most 2 * workers tasks at a time.  Results
     are identical for every ``workers`` setting.  Class N is a class-all
     census less a class-O one, each deciding on its own pool; ``progress``
     gets its numbers after each class-all shard.
@@ -543,40 +579,27 @@ def orbit_census(
         for i in range(0, len(fps), per_task)
         for cols in zip(cuts, cuts[1:])
     ]
-    # a pool forks all its workers up front
-    workers = min(workers, len(tasks)) if work >= _POOL_MIN_GLUINGS else 1
     total = orbit_count = size_sum = 0
     fixed = [0] * len(shifts)
-    records: list[tuple] = []
-    with ExitStack() as stack:
-        stack.callback(_matching_table.cache_clear)  # no table outlives the pass
-        if workers == 1:
-            done = map(_shard_task, tasks)
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(max_workers=workers)
-            # On any exception, drop the tasks not yet started and join the workers.
-            stack.callback(pool.shutdown, cancel_futures=True)
-            done = pool.map(_shard_task, tasks)
-        # one result per task, in column order
+    records: list[OrbitInfo] = []
+    done = _task_results(tasks, workers if work >= _POOL_MIN_GLUINGS else 1)
+    try:
         for marks, task_fixed, task_size_sum, task_records in done:
             fixed = [a + b for a, b in zip(fixed, task_fixed)]
             size_sum += task_size_sum
-            records.extend(task_records)
+            records.extend(
+                OrbitInfo(_trusted_gluing((c,)), size, st) for c, size, st in task_records
+            )
             for rows, orbits in marks:  # one per run shard, or one for a block
                 total += rows
                 orbit_count += orbits
                 if progress is not None and total % width == 0:  # a whole shard
                     progress(total, orbit_count)
-
+    finally:
+        done.close()  # a raising progress drops the pool's tasks not yet started
+        _matching_table.cache_clear()  # no table outlives the pass
     if size_sum != total:
         raise AssertionError(f"orbit sizes sum to {size_sum}, expected {total}")
-    orbits = None
-    if keep_orbits:
-        orbits = tuple(
-            OrbitInfo(_trusted_gluing((chords,)), size, stab) for chords, size, stab in records
-        )
     return OrbitCensus(
         n=n,
         diagram_class=diagram_class,
@@ -584,7 +607,7 @@ def orbit_census(
         orbit_count=orbit_count,
         total_gluings=total,
         fixed_counts=tuple(zip(shifts, fixed)) + ((2 * n, total),),
-        orbits=orbits,
+        orbits=tuple(records) if keep_orbits else None,
     )
 
 

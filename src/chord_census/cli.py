@@ -113,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=1,
-            help="most parallel shard workers; a census under 10^7 gluings runs in-process",
+            help="most parallel shard workers, at most one per task and per usable CPU; "
+            "a census under 10^7 gluings runs in-process",
         )
 
     p = sub.add_parser("count", help="closed-form counts for one n")

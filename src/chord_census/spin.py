@@ -25,7 +25,7 @@ the canonical forms of the two diagrams.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Mapping, Sequence
+from collections.abc import Hashable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from .diagram import ColorDiagram, DiagramLike, isomorphic
@@ -51,6 +51,12 @@ class SpinGraph:
     black_partner: Mapping[Label, Label]
     white_partner: Mapping[Label, Label]
 
+    def __post_init__(self) -> None:
+        # loops that can be read only once are stored as their tuple, so
+        # every call reads the same loops; every other value stays as given
+        if isinstance(self.loops, Iterator):
+            object.__setattr__(self, "loops", tuple(self.loops))
+
     @property
     def n(self) -> int:
         return len(self.cyclic_order) // 2
@@ -61,8 +67,9 @@ class SpinGraph:
         First the structure: a cyclic order of 2n distinct hashable
         half-edges that is a sequence or a numpy array, read as a tuple (a
         set, mapping, mapping view, iterator or scalar has no order and is
-        rejected), loops, an iterable of pairs read once, that pair them
-        all exactly once, and partner maps that are mappings covering
+        rejected), loops, an iterable of pairs (an iterator is stored as
+        its tuple when the graph is built) that pair them all exactly
+        once, and partner maps that are mappings covering
         exactly the half-edges.  Then the spin: read along the cyclic
         order, started on its black sector, the half-edges are the
         pattern's points 1..2n, and each partner map must be that color's

@@ -9,6 +9,7 @@ import functools
 import hashlib
 import math
 import multiprocessing
+import os
 import pickle
 import tracemalloc
 from itertools import chain, islice
@@ -178,21 +179,25 @@ def pool_always(monkeypatch):
 
 @pytest.fixture
 def pools(monkeypatch) -> list[int]:
-    """``max_workers`` of every pool a census starts; the pool runs the
-    shards in-process."""
+    """``max_workers`` of every pool a census starts; the pool runs each
+    task in-process as it is submitted.  The census sees 64 usable CPUs, so
+    pool sizes do not depend on the host."""
     started = []
 
     class RecordingPool:
         def __init__(self, max_workers):
             started.append(max_workers)
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def submit(self, fn, task):
+            future = concurrent.futures.Future()
+            future.set_result(fn(task))
+            return future
 
         def shutdown(self, cancel_futures=False):
             pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(census_mod, "_usable_cpus", lambda: 64)
     return started
 
 
@@ -825,15 +830,20 @@ class TestOrbitCensus:
         "cls", [DiagramClass.ALL, DiagramClass.O, DiagramClass.N]
     )
     @pytest.mark.parametrize("full", [False, True], ids=["even", "full"])
-    def test_workers_do_not_change_counts(self, cls, full, pool_always):
-        seq = orbit_census(
-            5, cls, keep_orbits=True, full_rotation_group=full, workers=1
-        )
-        par = orbit_census(
-            5, cls, keep_orbits=True, full_rotation_group=full, workers=2
-        )
-        assert seq == par
-        assert hash(seq) == hash(par)
+    def test_workers_do_not_change_counts(self, cls, full, pool_always, monkeypatch):
+        # As shipped, each n = 5 census is one task; with one shard per task,
+        # 9 class-all and 5 class-O tasks and their records cross a window of 4.
+        monkeypatch.setattr(census_mod, "_usable_cpus", lambda: 2)
+        for run_columns in (census_mod._RUN_COLUMNS, 0):
+            monkeypatch.setattr(census_mod, "_RUN_COLUMNS", run_columns)
+            seq = orbit_census(
+                5, cls, keep_orbits=True, full_rotation_group=full, workers=1
+            )
+            par = orbit_census(
+                5, cls, keep_orbits=True, full_rotation_group=full, workers=2
+            )
+            assert seq == par
+            assert hash(seq) == hash(par)
 
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize(
@@ -1011,6 +1021,25 @@ class TestOrbitCensus:
         assert orbit_census(6, workers=50) == orbit_census(6)
         assert pools == [20, 33]
 
+    def test_workers_capped_at_usable_cpus(self, pools, pool_always, monkeypatch):
+        # every worker forks at once and builds its own table
+        monkeypatch.setattr(census_mod, "_RUN_COLUMNS", 0)  # one shard per task
+        monkeypatch.setattr(census_mod, "_usable_cpus", lambda: 2)
+        assert orbit_census(5, workers=500) == orbit_census(5)
+        assert pools == [2]
+        monkeypatch.setattr(census_mod, "_usable_cpus", lambda: 1)
+        assert orbit_census(5, workers=500) == orbit_census(5)
+        assert pools == [2]  # one usable CPU runs in-process
+
+    def test_usable_cpus(self, monkeypatch):
+        cpus = census_mod._usable_cpus()
+        assert 1 <= cpus <= (os.cpu_count() or cpus)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert census_mod._usable_cpus() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert census_mod._usable_cpus() == 3
+
     def test_no_matching_table_outlives_a_census(self):
         orbit_census(5)
         assert census_mod._matching_table.cache_info().currsize == 0
@@ -1029,6 +1058,116 @@ class TestOrbitCensus:
         assert calls[-1][0] == 15
         assert calls[-1][1] == 7
         assert [c[0] for c in calls] == sorted(c[0] for c in calls)
+
+
+class TestTaskWindow:
+    """The pool path through a fake executor that runs each task when its
+    result is read and logs every submit, read and shutdown."""
+
+    WORKERS = 2  # a window of 4 tasks
+
+    @pytest.fixture
+    def log(self, monkeypatch) -> list[tuple]:
+        events = []
+
+        class LazyFuture:
+            def __init__(self, fn, task, index):
+                self.fn, self.task, self.index = fn, task, index
+
+            def result(self):
+                events.append(("read", self.index))
+                return self.fn(self.task)
+
+        class LoggingPool:
+            def __init__(self, max_workers):
+                events.append(("start", max_workers))
+                self.submitted = 0
+
+            def submit(self, fn, task):
+                events.append(("submit", self.submitted))
+                self.submitted += 1
+                return LazyFuture(fn, task, self.submitted - 1)
+
+            def shutdown(self, cancel_futures=False):
+                events.append(("shutdown", cancel_futures))
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", LoggingPool)
+        monkeypatch.setattr(census_mod, "_POOL_MIN_GLUINGS", 0)
+        monkeypatch.setattr(census_mod, "_usable_cpus", lambda: 64)
+        # n = 6: 11 class-all shards of 945 gluings, cut into 10 blocks each,
+        # so 110 tasks: more than 10 windows
+        monkeypatch.setattr(census_mod, "_RUN_COLUMNS", 0)
+        monkeypatch.setattr(census_mod, "_BLOCK_COLUMNS", 100)
+        return events
+
+    @staticmethod
+    def most_in_flight(events) -> int:
+        """The most tasks ever submitted and not yet read."""
+        flight = most = 0
+        for kind, _ in events:
+            flight += {"submit": 1, "read": -1}.get(kind, 0)
+            most = max(most, flight)
+        return most
+
+    @staticmethod
+    def indices(events, kind) -> list[int]:
+        return [i for k, i in events if k == kind]
+
+    def test_window_bounds_tasks_in_flight(self, log):
+        alone, pooled = [], []
+        whole = orbit_census(6, keep_orbits=True, progress=lambda *m: alone.append(m))
+        assert log == []  # one worker runs in-process
+        census = orbit_census(
+            6, keep_orbits=True, workers=self.WORKERS, progress=lambda *m: pooled.append(m)
+        )
+        assert census == whole and len(census.orbits) == census.orbit_count
+        assert pooled == alone and len(alone) == 11
+        assert log[0] == ("start", self.WORKERS)
+        assert self.indices(log, "submit") == self.indices(log, "read") == list(range(110))
+        assert self.most_in_flight(log) == 2 * self.WORKERS
+        assert log[-1] == ("shutdown", True)
+        assert [e for e in log if e[0] == "shutdown"] == [("shutdown", True)]
+
+    @pytest.mark.parametrize("j", [0, 37, 105, 109])
+    def test_raising_task_stops_submitting(self, log, monkeypatch, j):
+        original = census_mod._shard_task
+        ran = []
+
+        def failing(args):
+            ran.append(args)
+            if len(ran) == j + 1:  # the fake runs tasks in the order read
+                raise RuntimeError(f"task {j} failed")
+            return original(args)
+
+        monkeypatch.setattr(census_mod, "_shard_task", failing)
+        # the traceback keeps the census's frame, and its stream, alive
+        with pytest.raises(RuntimeError, match=f"^task {j} failed$") as raised:
+            orbit_census(6, workers=self.WORKERS)
+        window = 2 * self.WORKERS
+        assert self.indices(log, "read") == list(range(j + 1))
+        assert self.indices(log, "submit") == list(range(min(j + window, 110)))
+        assert self.most_in_flight(log) <= window
+        assert [e for e in log if e[0] == "shutdown"] == [("shutdown", True)]
+        assert census_mod._matching_table.cache_info().currsize == 0
+        assert raised.tb is not None
+
+    @pytest.mark.parametrize("shard", [1, 4, 11])
+    def test_raising_progress_stops_submitting(self, log, shard):
+        def interrupt(done, orbits):
+            if done == 945 * shard:
+                raise KeyboardInterrupt
+
+        # the traceback keeps the census's frame, and its stream, alive
+        with pytest.raises(KeyboardInterrupt) as raised:
+            orbit_census(6, workers=self.WORKERS, progress=interrupt)
+        j = 10 * shard - 1  # progress fires once a shard's last block is read
+        window = 2 * self.WORKERS
+        assert self.indices(log, "read") == list(range(j + 1))
+        assert self.indices(log, "submit") == list(range(min(j + window, 110)))
+        assert self.most_in_flight(log) <= window
+        assert [e for e in log if e[0] == "shutdown"] == [("shutdown", True)]
+        assert census_mod._matching_table.cache_info().currsize == 0
+        assert raised.tb is not None
 
 
 class TestCountFixed:

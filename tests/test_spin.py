@@ -305,6 +305,21 @@ class TestValidation:
         once().validate()
         assert once().sector_colors_start_black() is True
 
+    @pytest.mark.parametrize(
+        "read_loops", [iter, lambda loops: (loop for loop in loops)], ids=["iter", "generator"]
+    )
+    @pytest.mark.parametrize("text", ["(1,3)(2,4)", "(1,8)(2,4)(3,7)(5,12)(6,9)(10,11)"])
+    def test_iterator_loops_read_by_every_call(self, read_loops, text):
+        # one graph whose loops are an iterator holds their tuple, so every
+        # call on it reads the same loops
+        s = diagram_to_spin_graph(ColorDiagram.parse(text))
+        once = SpinGraph(s.cyclic_order, read_loops(s.loops), s.black_partner, s.white_partner)
+        once.validate()
+        assert spin_graph_to_diagram(once) == spin_graph_to_diagram(s)
+        assert spin_graph_isomorphic(once, once)
+        assert once.sector_colors_start_black() is True
+        assert once.loops == s.loops and once == s
+
     def test_sector_colors_of_an_empty_order(self):
         with pytest.raises(InvalidSpinError, match="need 2n half-edges, got 0"):
             SpinGraph((), (), {}, {}).sector_colors_start_black()
